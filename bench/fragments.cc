@@ -17,13 +17,15 @@
 //   - a fragments-on row pruned nothing (fragment_candidates_pruned == 0
 //     — the tier did not engage) or ran MORE sub-iso tests than its
 //     fragments-off twin;
-//   - a fragments-on row's admission/dedup/eviction counters differ from
-//     its fragments-off twin (replacement decisions must be untouched);
+//   - a fragments-on row's admission/dedup/refresh/eviction counters
+//     differ from its fragments-off twin (replacement decisions must be
+//     untouched);
 //   - a fragments-off row reports any fragment activity.
 //
-// Per row the JSON carries the fragment counters (hits, computations,
-// intersections, candidates pruned, admissions/merges/evictions,
-// digest collisions) and the approximate resident byte footprint split
+// Per row the JSON carries the whole-query twin counters (admission
+// dedups and refreshes), the fragment counters (hits, computations,
+// intersections, candidates pruned, admissions/merges/evictions, digest
+// collisions) and the approximate resident byte footprint split
 // (graph/bitset/posting/fragment bytes).
 
 #include <cstdio>
@@ -49,12 +51,13 @@ bool SameAnswers(const RunReport& a, const RunReport& b) {
 void EmitRow(JsonWriter* json, const char* system, const char* path,
              const RunReport& r) {
   if (json == nullptr) return;
-  char buf[1024];
+  char buf[1536];
   std::snprintf(
       buf, sizeof(buf),
       "\"system\": \"%s\", \"path\": \"%s\", "
       "\"tests_per_query\": %.3f, \"avg_query_ms\": %.5f, "
       "\"verify_throughput_tests_per_sec\": %.1f, "
+      "\"admission_dedups\": %llu, \"admission_refreshes\": %llu, "
       "\"avg_fragment_ms\": %.5f, "
       "\"fragment_hits\": %llu, \"fragment_computed\": %llu, "
       "\"fragment_intersections\": %llu, "
@@ -65,6 +68,9 @@ void EmitRow(JsonWriter* json, const char* system, const char* path,
       "\"approx_posting_bytes\": %llu, \"approx_fragment_bytes\": %llu",
       system, path, r.avg_si_tests(), r.avg_query_ms(),
       VerifyThroughputTestsPerSec(r),
+      static_cast<unsigned long long>(r.cache_stats.total_admission_dedups),
+      static_cast<unsigned long long>(
+          r.cache_stats.total_admission_refreshes),
       r.agg.queries == 0 ? 0.0
                          : static_cast<double>(r.agg.t_fragment_ns) / 1e6 /
                                static_cast<double>(r.agg.queries),
@@ -172,11 +178,13 @@ int main(int argc, char** argv) {
     if (on.cache_stats.total_admissions != off.cache_stats.total_admissions ||
         on.cache_stats.total_admission_dedups !=
             off.cache_stats.total_admission_dedups ||
+        on.cache_stats.total_admission_refreshes !=
+            off.cache_stats.total_admission_refreshes ||
         on.cache_stats.total_evictions != off.cache_stats.total_evictions) {
       std::fprintf(stderr,
                    "FAIL: %s whole-query replacement diverged "
-                   "(admissions %llu/%llu, dedups %llu/%llu, evictions "
-                   "%llu/%llu on/off)\n",
+                   "(admissions %llu/%llu, dedups %llu/%llu, refreshes "
+                   "%llu/%llu, evictions %llu/%llu on/off)\n",
                    sys_name.c_str(),
                    static_cast<unsigned long long>(
                        on.cache_stats.total_admissions),
@@ -186,6 +194,10 @@ int main(int argc, char** argv) {
                        on.cache_stats.total_admission_dedups),
                    static_cast<unsigned long long>(
                        off.cache_stats.total_admission_dedups),
+                   static_cast<unsigned long long>(
+                       on.cache_stats.total_admission_refreshes),
+                   static_cast<unsigned long long>(
+                       off.cache_stats.total_admission_refreshes),
                    static_cast<unsigned long long>(
                        on.cache_stats.total_evictions),
                    static_cast<unsigned long long>(

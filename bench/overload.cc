@@ -3,41 +3,53 @@
 // Three rows per system answer two questions the entry-count model
 // cannot: (1) at EQUAL resident bytes, does utility-per-byte replacement
 // (paper benefit R divided by the entry's approximate footprint) serve
-// more hits than counting entries? (2) when the budget is far below the
-// working set, does the engine degrade gracefully — shedding admission
-// offers under pressure instead of thrashing — while answers stay exact?
+// more hits, and save more sub-iso tests, than counting entries? (2) when
+// the budget is far below the working set, does the engine degrade
+// gracefully — shedding admission offers under pressure instead of
+// thrashing — while answers stay exact?
 //
 //   count        --byte-budget=off, capacity K: the legacy entry-count
-//                engine. Its end-of-run resident footprint B becomes the
-//                byte budget of the next row.
+//                engine. The high-water mark B of its resident footprint
+//                (sampled after every query) becomes the byte budget of
+//                the next row.
 //   equal-bytes  --byte-budget=B with a 16x count cap: the byte pass is
 //                the only binding constraint, so replacement is ranked
 //                purely per byte inside the same memory the count row
-//                used.
-//   constrained  --byte-budget=B/8 under the deployment shape (dedicated
+//                needed — neither row's footprint ever exceeds B.
+//   constrained  --byte-budget=B/16 under the deployment shape (dedicated
 //                maintenance thread, 4 closed-loop clients): admissions
 //                overshoot the budget between asynchronous drains, the
 //                pressure monitor leaves NORMAL, and offers are shed
 //                (counted, never queued).
 //
+// B is a high-water mark rather than the count row's end-of-run
+// footprint because a byte budget is a ceiling, and the count engine's
+// ceiling is the most it ever held. Its footprint swings with whichever
+// K entries happen to be resident, so a single end-of-run sample can sit
+// well above or well below the memory that engine actually used, and
+// the comparison would turn on where the window stood when the run
+// ended.
+//
 // Whether per-byte replacement wins at equal bytes is MODEL-DEPENDENT:
 // EVI's periodic purges keep resetting R, so packing more small entries
-// into the same bytes shows up directly as extra hits; CON entries live
-// until invalidated, so the few large containment hubs keep earning
-// sub-/super-hits and the per-byte rank — which divides a hub's
-// accumulated benefit by its footprint — can trade one hub for several
-// small entries that jointly earn less. Both regimes are real and both
-// rows are reported; the gate demands the win where it genuinely holds.
+// into the same bytes shows up directly as extra hits and saved tests;
+// CON entries live until invalidated, so the few large containment hubs
+// keep earning sub-/super-hits and the per-byte rank — which divides a
+// hub's accumulated benefit by its footprint — can trade one hub for
+// several small entries that jointly score more hits but save fewer
+// tests. Both regimes are real and both rows are reported; the gate
+// demands the win where it genuinely holds.
 //
 // The run FAILS (exit 1) when:
 //   - a serial row's (count, equal-bytes) answers diverge from the
 //     uncached Method M baseline (the constrained row's answers depend
 //     on the client/maintenance interleaving and are not gated);
-//   - NO system beats its count row on cache hits (exact + sub + super)
-//     at equal bytes — utility-per-byte must demonstrate its win in at
-//     least one eviction model;
-//   - an equal-bytes row's byte pass never fired, or it exceeded the
-//     measured budget;
+//   - NO system beats its count row at equal bytes on both cache hits
+//     (exact + sub + super) and sub-iso tests per query — utility-per-
+//     byte must demonstrate its win in at least one eviction model (hits
+//     alone undercount an exact hit, which saves every test);
+//   - an equal-bytes row's byte pass never fired, or its footprint ever
+//     exceeded the measured budget;
 //   - the count row reports any byte evictions or shed offers (budget
 //     off must be the bit-exact legacy engine);
 //   - the equal-bytes row shed offers (a never-overshooting budget must
@@ -82,7 +94,8 @@ void EmitRow(JsonWriter* json, const char* system, const char* row,
   std::snprintf(
       buf, sizeof(buf),
       "\"system\": \"%s\", \"row\": \"%s\", \"byte_budget\": %llu, "
-      "\"resident_bytes\": %llu, \"hits\": %llu, \"hit_rate\": %.4f, "
+      "\"resident_bytes\": %llu, \"peak_resident_bytes\": %llu, "
+      "\"hits\": %llu, \"hit_rate\": %.4f, "
       "\"tests_per_query\": %.3f, \"avg_query_ms\": %.5f, "
       "\"byte_budget_evictions\": %llu, \"evictions\": %llu, "
       "\"admission_offers_shed\": %llu, "
@@ -92,6 +105,7 @@ void EmitRow(JsonWriter* json, const char* system, const char* row,
       "\"pressure_bypassed_queries\": %llu",
       system, row, static_cast<unsigned long long>(budget),
       static_cast<unsigned long long>(ResidentBytes(r)),
+      static_cast<unsigned long long>(r.peak_resident_bytes),
       static_cast<unsigned long long>(Hits(r)),
       r.agg.queries == 0 ? 0.0
                          : static_cast<double>(Hits(r)) /
@@ -113,9 +127,10 @@ void EmitRow(JsonWriter* json, const char* system, const char* row,
 
 void PrintRow(const char* sys, const char* row, std::uint64_t budget,
               const RunReport& r) {
-  std::printf("%-6s %-12s %12llu %12llu %8llu %12.1f %12llu %10llu\n", sys,
-              row, static_cast<unsigned long long>(budget),
+  std::printf("%-6s %-12s %12llu %12llu %12llu %8llu %12.1f %12llu %10llu\n",
+              sys, row, static_cast<unsigned long long>(budget),
               static_cast<unsigned long long>(ResidentBytes(r)),
+              static_cast<unsigned long long>(r.peak_resident_bytes),
               static_cast<unsigned long long>(Hits(r)), r.avg_si_tests(),
               static_cast<unsigned long long>(
                   r.cache_stats.byte_budget_evictions),
@@ -133,8 +148,7 @@ int main(int argc, char** argv) {
     // Default capacities sit in the regime where the budget binds hard
     // against the working set (the stock defaults are roomy enough that
     // count and byte replacement converge on the same residents). At
-    // these points the per-byte win is visible: EVI at full scale, CON
-    // at quick scale.
+    // these points EVI shows the per-byte win at both scales.
     cfg.cache_capacity = flags.GetBool("quick", false) ? 10 : 16;
   }
   if (!flags.Has("fragments")) {
@@ -162,9 +176,9 @@ int main(int argc, char** argv) {
   RunnerConfig base_rc = MakeRunnerConfig(RunMode::kMethodM, method, cfg);
   base_rc.record_answers = true;
   const RunReport base = RunWorkload(corpus, w, plan, base_rc);
-  std::printf("\n%-6s %-12s %12s %12s %8s %12s %12s %10s\n", "sys", "row",
-              "budget", "resident B", "hits", "tests/q", "byte evict",
-              "shed");
+  std::printf("\n%-6s %-12s %12s %12s %12s %8s %12s %12s %10s\n", "sys",
+              "row", "budget", "resident B", "peak B", "hits", "tests/q",
+              "byte evict", "shed");
   PrintRow("M", "baseline", 0, base);
   EmitRow(json.get(), "M", "baseline", 0, base);
 
@@ -174,14 +188,16 @@ int main(int argc, char** argv) {
     // --- count: the legacy entry-count engine, budget off --------------
     RunnerConfig count_rc = MakeRunnerConfig(sys, method, cfg);
     count_rc.record_answers = true;
+    count_rc.track_peak_resident_bytes = true;
     const RunReport count = RunWorkload(corpus, w, plan, count_rc);
-    const std::uint64_t budget = ResidentBytes(count);
+    const std::uint64_t budget = count.peak_resident_bytes;
     PrintRow(sys_name.c_str(), "count", 0, count);
     EmitRow(json.get(), sys_name.c_str(), "count", 0, count);
 
     // --- equal-bytes: same memory, replacement ranked per byte ---------
     RunnerConfig equal_rc = MakeRunnerConfig(sys, method, cfg);
     equal_rc.record_answers = true;
+    equal_rc.track_peak_resident_bytes = true;
     equal_rc.byte_budget = budget;
     equal_rc.cache_capacity = cfg.cache_capacity * 16;
     const RunReport equal = RunWorkload(corpus, w, plan, equal_rc);
@@ -235,15 +251,17 @@ int main(int argc, char** argv) {
                    sys_name.c_str());
       ++failures;
     }
-    if (Hits(equal) > Hits(count)) {
+    if (Hits(equal) > Hits(count) &&
+        equal.avg_si_tests() < count.avg_si_tests()) {
       ++per_byte_wins;
     } else {
       std::printf(
-          "# %s: equal-bytes %llu hits <= count %llu in %llu bytes "
-          "(model-dependent; see header)\n",
+          "# %s: equal-bytes %llu hits / %.1f tests/q vs count %llu hits / "
+          "%.1f tests/q in %llu bytes — no win (model-dependent; see "
+          "header)\n",
           sys_name.c_str(), static_cast<unsigned long long>(Hits(equal)),
-          static_cast<unsigned long long>(Hits(count)),
-          static_cast<unsigned long long>(budget));
+          equal.avg_si_tests(), static_cast<unsigned long long>(Hits(count)),
+          count.avg_si_tests(), static_cast<unsigned long long>(budget));
     }
     if (equal.cache_stats.byte_budget_evictions == 0) {
       std::fprintf(stderr,
@@ -252,12 +270,12 @@ int main(int argc, char** argv) {
                    sys_name.c_str());
       ++failures;
     }
-    if (ResidentBytes(equal) > budget) {
+    if (equal.peak_resident_bytes > budget) {
       std::fprintf(stderr,
-                   "FAIL: %s equal-bytes finished over budget (%llu > "
+                   "FAIL: %s equal-bytes went over budget (peak %llu > "
                    "%llu)\n",
                    sys_name.c_str(),
-                   static_cast<unsigned long long>(ResidentBytes(equal)),
+                   static_cast<unsigned long long>(equal.peak_resident_bytes),
                    static_cast<unsigned long long>(budget));
       ++failures;
     }
@@ -284,19 +302,20 @@ int main(int argc, char** argv) {
 
   if (per_byte_wins == 0) {
     std::fprintf(stderr,
-                 "FAIL: no system beat its count row at equal bytes — "
-                 "utility-per-byte never demonstrated its win\n");
+                 "FAIL: no system beat its count row on hits and tests/q "
+                 "at equal bytes — utility-per-byte never demonstrated its "
+                 "win\n");
     ++failures;
   }
 
   std::printf(
       "\n# Expected shape: identical answers on every serial row. At least\n"
-      "# one system serves more hits at equal bytes — per-byte ranking\n"
-      "# stops large low-benefit entries from crowding out several small\n"
-      "# ones (EVI shows it at full scale; CON's long-lived containment\n"
-      "# hubs favor the count rank, see header). constrained sheds offers\n"
-      "# (counted, never queued) while the monitor rides ELEVATED, and\n"
-      "# recovery is automatic: shed counters stay zero on both\n"
-      "# unconstrained rows.\n");
+      "# one system serves more hits with fewer tests/q at equal bytes —\n"
+      "# per-byte ranking stops large low-benefit entries from crowding\n"
+      "# out several small ones (EVI shows it; CON's long-lived\n"
+      "# containment hubs favor the count rank, see header). constrained\n"
+      "# sheds offers (counted, never queued) while the monitor rides\n"
+      "# ELEVATED, and recovery is automatic: shed counters stay zero on\n"
+      "# both unconstrained rows.\n");
   return failures == 0 ? 0 : 1;
 }

@@ -49,10 +49,19 @@ Result<CacheEntryId> CacheManager::Admit(Graph query, CachedQueryKind kind,
 std::unique_ptr<CachedQuery> CacheManager::PrepareEntry(
     std::shared_ptr<const Graph> query, CachedQueryKind kind,
     DynamicBitset answer, DynamicBitset valid, double est_test_cost_ms) {
+  const std::uint64_t digest = WlDigest(*query);
+  return PrepareEntry(std::move(query), kind, std::move(answer),
+                      std::move(valid), est_test_cost_ms, digest);
+}
+
+std::unique_ptr<CachedQuery> CacheManager::PrepareEntry(
+    std::shared_ptr<const Graph> query, CachedQueryKind kind,
+    DynamicBitset answer, DynamicBitset valid, double est_test_cost_ms,
+    std::uint64_t digest) {
   auto entry = std::make_unique<CachedQuery>();
   entry->kind = kind;
   entry->features = GraphFeatures::Extract(*query);
-  entry->digest = WlDigest(*query);
+  entry->digest = digest;
   entry->query = std::move(query);  // pointer handoff — the Graph itself
                                     // is neither copied nor moved
   entry->answer = std::move(answer);
@@ -94,6 +103,19 @@ Result<CacheEntryId> CacheManager::AdmitPrepared(
   AccountAdmit(*raw);
   ++stats_.total_admissions;
   return id;
+}
+
+void CacheManager::RefreshTwin(CacheEntryId id, CachedQuery& offer,
+                               std::uint64_t now) {
+  CachedQuery* e = FindMutable(id);
+  if (e == nullptr) return;
+  CacheValidator::MergeKnowledge(*e, offer);
+  e->last_used_at = now;
+  // The merge SETS valid bits (the footprint must stay a superset) and
+  // can widen the bitsets.
+  if (options_.maintain_relevance_index) relevance_.Refresh(e);
+  AccountRefresh(*e);
+  ++stats_.total_admission_refreshes;
 }
 
 void CacheManager::MaybeMergeWindow() {
@@ -277,11 +299,6 @@ void CacheManager::ExtendAll(std::size_t id_horizon) {
     CacheValidator::RefreshEntry(*e, empty, id_horizon);
     AccountRefresh(*e);
   }
-}
-
-void CacheManager::NoteEntryBytesChanged(CacheEntryId id) {
-  CachedQuery* e = FindMutable(id);
-  if (e != nullptr) AccountRefresh(*e);
 }
 
 void CacheManager::RecordBenefit(CacheEntryId id, std::uint64_t tests_saved,

@@ -101,6 +101,13 @@ class CacheManager {
       std::shared_ptr<const Graph> query, CachedQueryKind kind,
       DynamicBitset answer, DynamicBitset valid, double est_test_cost_ms);
 
+  /// As above, with the WL digest of `query` already computed by the
+  /// caller.
+  static std::unique_ptr<CachedQuery> PrepareEntry(
+      std::shared_ptr<const Graph> query, CachedQueryKind kind,
+      DynamicBitset answer, DynamicBitset valid, double est_test_cost_ms,
+      std::uint64_t digest);
+
   /// Window-admits an entry from PrepareEntry; only id assignment,
   /// timestamps and index registration happen here. Never merges.
   /// Returns the assigned id, or ResourceExhausted when the
@@ -108,6 +115,14 @@ class CacheManager {
   /// dropped; no store state changes).
   Result<CacheEntryId> AdmitPrepared(std::unique_ptr<CachedQuery> entry,
                                      std::uint64_t now);
+
+  /// Refreshes resident entry `id` in place with the knowledge of an
+  /// isomorphic offer instead of admitting the offer beside it
+  /// (CacheValidator::MergeKnowledge — the offer must be reconciled to
+  /// this store's watermark), marks it used at `now`, and re-derives its
+  /// relevance footprint and byte account. Counts one
+  /// total_admission_refreshes; no-op for non-resident ids.
+  void RefreshTwin(CacheEntryId id, CachedQuery& offer, std::uint64_t now);
 
   /// Runs the window→cache merge iff the window reached capacity — the
   /// once-per-drain replacement step paired with AdmitDeferred.
@@ -231,12 +246,6 @@ class CacheManager {
   /// The whole-query slice of the byte budget (0 = budget off). The
   /// fragment slice lives in fragments().byte_budget().
   std::uint64_t entry_byte_budget() const { return entry_byte_budget_; }
-
-  /// Re-accounts `id`'s byte footprint after an out-of-store mutation that
-  /// may have resized its bitsets (the engine validates stale admission
-  /// offers directly via CacheValidator::RefreshEntry). No-op for
-  /// non-resident ids.
-  void NoteEntryBytesChanged(CacheEntryId id);
 
   std::size_t cache_size() const { return cache_.size(); }
   std::size_t window_size() const { return window_.size(); }

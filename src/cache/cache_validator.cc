@@ -1,5 +1,7 @@
 #include "cache/cache_validator.hpp"
 
+#include <algorithm>
+
 namespace gcp {
 
 void CacheValidator::ExtendEntry(CachedQuery& entry, std::size_t id_horizon) {
@@ -48,6 +50,17 @@ void CacheValidator::ApplyCounters(CachedQuery& entry,
     }
     entry.valid.Set(graph_id, false);  // line 17
   }
+}
+
+void CacheValidator::MergeKnowledge(CachedQuery& resident,
+                                    CachedQuery& offer) {
+  const std::size_t horizon =
+      std::max(resident.valid.size(), offer.valid.size());
+  ExtendEntry(resident, horizon);
+  ExtendEntry(offer, horizon);
+  resident.answer.AndNotWith(offer.valid);
+  resident.answer.OrWith(DynamicBitset::And(offer.answer, offer.valid));
+  resident.valid.OrWith(offer.valid);
 }
 
 void CacheValidator::RefreshEntry(CachedQuery& entry,

@@ -58,6 +58,15 @@ class CacheValidator {
   static void ApplyCounters(CachedQuery& entry, const ChangeCounters& counters,
                             const DeltaRevalidateFn* delta = nullptr,
                             StatisticsManager* stats = nullptr);
+
+  /// Folds a freshly computed twin's knowledge into the resident entry:
+  /// both are extended to the wider horizon, the offer's answer
+  /// overwrites the range it is valid for, and the valid sets union.
+  /// Exact only when both sides are reconciled to the same watermark —
+  /// they then agree wherever both are valid. Can SET valid bits, so the
+  /// owning store must refresh the resident's relevance footprint and
+  /// byte account afterwards.
+  static void MergeKnowledge(CachedQuery& resident, CachedQuery& offer);
 };
 
 }  // namespace gcp

@@ -33,15 +33,8 @@ Status FragmentStore::AdmitOrMerge(std::unique_ptr<CachedQuery> entry,
       return Status::OK();
     }
     // Both sides are reconciled to the same watermark, so wherever both
-    // are valid they agree; the offer's knowledge overwrites its covered
-    // range and the valid sets union.
-    const std::size_t horizon =
-        std::max(resident.valid.size(), entry->valid.size());
-    CacheValidator::ExtendEntry(resident, horizon);
-    CacheValidator::ExtendEntry(*entry, horizon);
-    resident.answer.AndNotWith(entry->valid);
-    resident.answer.OrWith(DynamicBitset::And(entry->answer, entry->valid));
-    resident.valid.OrWith(entry->valid);
+    // are valid they agree.
+    CacheValidator::MergeKnowledge(resident, *entry);
     resident.last_used_at = now;
     ++stats.fragment_merges;
     // The merge can SET valid bits — the footprint must be recomputed to

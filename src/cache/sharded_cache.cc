@@ -127,6 +127,7 @@ StatisticsManager ShardedCache::AggregateStats() const {
     sum.total_tests_saved += st.total_tests_saved;
     sum.total_admissions += st.total_admissions;
     sum.total_admission_dedups += st.total_admission_dedups;
+    sum.total_admission_refreshes += st.total_admission_refreshes;
     sum.total_evictions += st.total_evictions;
     sum.total_cache_clears += st.total_cache_clears;
     sum.total_retro_refreshes += st.total_retro_refreshes;

@@ -51,6 +51,10 @@ class StatisticsManager {
   /// Drain-time twin drops: admission offers rejected because an
   /// isomorphic, fully-valid resident already covers the query.
   std::uint64_t total_admission_dedups = 0;
+  /// Drain-time twin refreshes: admission offers merged into an
+  /// isomorphic resident that was not fully valid, instead of being
+  /// admitted beside it.
+  std::uint64_t total_admission_refreshes = 0;
   std::uint64_t total_evictions = 0;
   std::uint64_t total_cache_clears = 0;  ///< EVI purges.
   std::uint64_t total_retro_refreshes = 0;  ///< Retrospective re-tests (§8).

@@ -205,36 +205,24 @@ std::vector<CacheManager::EntryCreditSum> GraphCachePlus::SumCredits(
   return sums;
 }
 
-bool GraphCachePlus::IsDuplicateAdmissionLocked(
-    std::size_t s, const CachedQuery& entry,
-    const DynamicBitset& live) const {
-  // The probe mirrors the serial §6.3 exact-hit precondition (same-kind
-  // isomorphic resident, fully valid over the live dataset): under that
-  // condition the serial engine would not have produced this offer, so a
-  // concurrent twin that did slip past the read-phase check is dropped
-  // here. Residents that are isomorphic but NOT fully valid do not block
-  // admission — the serial engine admits those too (their knowledge is
-  // strictly weaker than the fresh offer's). Gated on the exact shortcut
-  // so configurations that never detect exact hits keep admitting twins
-  // exactly as before.
-  if (!options_.enable_exact_shortcut) return false;
-  const std::vector<const CachedQuery*> twins =
-      cache_.shard(s).index().DigestMatches(entry.digest);
-  if (twins.empty()) return false;
-  for (const CachedQuery* twin : twins) {
-    if (twin->kind != entry.kind ||
-        twin->query->NumVertices() != entry.query->NumVertices() ||
-        twin->query->NumEdges() != entry.query->NumEdges()) {
-      continue;
-    }
-    if (twin->valid.size() != live.size() || !live.IsSubsetOf(twin->valid)) {
-      continue;
-    }
-    // Equal counts + one-way containment ⇒ isomorphic (the §6.3 case-1
-    // argument): the embedding is a bijection and edge counts match.
-    if (internal_matcher_->Contains(*entry.query, *twin->query)) return true;
+void GraphCachePlus::ForwardValidateLocked(CachedQuery& entry,
+                                           LogSeq observed,
+                                           const DrainEnv& env) const {
+  std::vector<ChangeRecord> records;
+  if (env.snap != nullptr) {
+    records = env.snap->RecordsBetween(observed, env.watermark);
+  } else {
+    records = dataset_->log().ExtractSince(observed);
+    records.erase(std::remove_if(records.begin(), records.end(),
+                                 [&env](const ChangeRecord& r) {
+                                   return r.seq > env.watermark;
+                                 }),
+                  records.end());
   }
-  return false;
+  const ChangeCounters counters = LogAnalyzer::Analyze(records);
+  const std::size_t horizon =
+      env.snap != nullptr ? env.snap->id_horizon : dataset_->IdHorizon();
+  CacheValidator::RefreshEntry(entry, counters, horizon);
 }
 
 void GraphCachePlus::ApplyMaintenanceLocked(std::size_t s,
@@ -255,25 +243,7 @@ void GraphCachePlus::ApplyMaintenanceLocked(std::size_t s,
     if (fo.observed_watermark > env.watermark) continue;
     const bool fo_stale = fo.observed_watermark != env.watermark;
     if (fo_stale && options_.model == CacheModel::kEvi) continue;
-    if (fo_stale) {
-      std::vector<ChangeRecord> records;
-      if (env.snap != nullptr) {
-        records =
-            env.snap->RecordsBetween(fo.observed_watermark, env.watermark);
-      } else {
-        records = dataset_->log().ExtractSince(fo.observed_watermark);
-        records.erase(std::remove_if(records.begin(), records.end(),
-                                     [&env](const ChangeRecord& r) {
-                                       return r.seq > env.watermark;
-                                     }),
-                      records.end());
-      }
-      const ChangeCounters counters = LogAnalyzer::Analyze(records);
-      const std::size_t horizon = env.snap != nullptr
-                                      ? env.snap->id_horizon
-                                      : dataset_->IdHorizon();
-      CacheValidator::RefreshEntry(*fo.entry, counters, horizon);
-    }
+    if (fo_stale) ForwardValidateLocked(*fo.entry, fo.observed_watermark, env);
     shard.fragments().AdmitOrMerge(std::move(fo.entry), batch.query_id,
                                    shard.stats());
   }
@@ -301,47 +271,41 @@ void GraphCachePlus::ApplyMaintenanceLocked(std::size_t s,
       env.live == nullptr ? dataset_->LiveMask() : DynamicBitset();
   const DynamicBitset& live =
       env.live == nullptr ? live_storage : *env.live;
-  if (IsDuplicateAdmissionLocked(s, *offer.entry, live)) {
-    // Concurrent twin: an isomorphic, fully-valid resident landed between
-    // this query's read phase and its drain. Admitting both would split
-    // capacity and benefit statistics across identical knowledge.
-    ++shard.stats().total_admission_dedups;
+  // The read phase's twin lookup again, without its validity filter: one
+  // entry per isomorphism class, never a second beside the first.
+  CachedQuery& entry = *offer.entry;
+  const CachedQuery* twin = nullptr;
+  for (const CachedQuery* c :
+       discovery_.TwinCandidates(*entry.query, entry.digest, entry.kind,
+                                 shard)) {
+    if (!discovery_.IsTwin(*entry.query, *c->query)) continue;
+    if (c->valid.size() == live.size() && live.IsSubsetOf(c->valid)) {
+      // A fully valid twin already covers the offer: it landed between
+      // this query's read phase and its drain (a concurrent twin), or
+      // the shortcut was not taken (a lagging shard, a CRITICAL bypass).
+      ++shard.stats().total_admission_dedups;
+      return;
+    }
+    if (twin == nullptr) twin = c;
+  }
+  if (stale) {
+    // CON: forward-validate the offer through Algorithms 1 + 2 over
+    // exactly the records the store has already reconciled, so it joins
+    // the resident set at the store's watermark. Records past it are left
+    // for the next reconcile (which refreshes every resident uniformly).
+    ForwardValidateLocked(entry, offer.observed_watermark, env);
+  }
+  if (twin != nullptr) {
+    // Algorithm 2 faded the twin since it was admitted: fold the offer's
+    // fresh knowledge into it (both sides now sit at the store's
+    // watermark), so the twin keeps its benefit history and serves the
+    // next repeat as a zero-test exact hit.
+    shard.RefreshTwin(twin->id, entry, batch.query_id);
     return;
   }
-  const Result<CacheEntryId> admitted =
-      shard.AdmitPrepared(std::move(offer.entry), batch.query_id);
-  if (!admitted.ok()) return;  // Injected allocation failure: offer dropped.
-  const CacheEntryId id = admitted.value();
-  if (stale) {
-    // CON: forward-validate the snapshot through Algorithms 1 + 2 over
-    // exactly the records the store has already reconciled, so the new
-    // entry joins the resident set at the store's watermark. Records past
-    // it are left for the next reconcile (which refreshes every resident
-    // entry uniformly).
-    std::vector<ChangeRecord> records;
-    if (env.snap != nullptr) {
-      records = env.snap->RecordsBetween(offer.observed_watermark,
-                                         env.watermark);
-    } else {
-      records = dataset_->log().ExtractSince(offer.observed_watermark);
-      records.erase(std::remove_if(records.begin(), records.end(),
-                                   [&env](const ChangeRecord& r) {
-                                     return r.seq > env.watermark;
-                                   }),
-                    records.end());
-    }
-    const ChangeCounters counters = LogAnalyzer::Analyze(records);
-    CachedQuery* e = shard.FindMutable(id);
-    if (e != nullptr) {
-      const std::size_t horizon = env.snap != nullptr
-                                      ? env.snap->id_horizon
-                                      : dataset_->IdHorizon();
-      CacheValidator::RefreshEntry(*e, counters, horizon);
-      // The forward validation can resize the entry's bitsets behind the
-      // store's back — re-account its byte footprint.
-      shard.NoteEntryBytesChanged(id);
-    }
-  }
+  // An injected allocation failure drops the offer; no store state
+  // changes.
+  (void)shard.AdmitPrepared(std::move(offer.entry), batch.query_id);
 }
 
 void GraphCachePlus::ApplyBatchesLocked(std::size_t s,
@@ -982,8 +946,7 @@ void GraphCachePlus::RetrospectiveRefreshShard(std::size_t s,
 void GraphCachePlus::ExecuteReadSlice(
     const Graph& g, QueryKind kind, const DynamicBitset& csm,
     const EngineSnapshot* snap, LogSeq watermark, std::size_t id_horizon,
-    QueryMetrics& m, Deferred& deferred, DynamicBitset& answer_bits,
-    bool& had_exact) {
+    QueryMetrics& m, Deferred& deferred, DynamicBitset& answer_bits) {
   auto batch_for = [&](std::size_t s) -> PendingMaintenance& {
     for (auto& [shard, batch] : deferred) {
       if (shard == s) return batch;
@@ -1010,6 +973,43 @@ void GraphCachePlus::ExecuteReadSlice(
     pressure_bypassed_queries_.fetch_add(1, std::memory_order_relaxed);
   }
 
+  // --- §6.3 case 1 first: the digest-keyed twin lookup in the query's
+  // home shard. A resident isomorphic twin fully valid over CS_M answers
+  // the query outright — no fragments, no discovery, no Method M, no
+  // offer. Candidates are copied out under the shared home-shard lock
+  // (skipped, like discovery, when the epoch path finds the shard
+  // lagging); the isomorphism check runs with no lock held. On a miss
+  // the digest keys the admission offer.
+  const bool lookup_twin = options_.enable_exact_shortcut && !bypass_cache;
+  std::uint64_t digest = 0;
+  if (lookup_twin) {
+    Stopwatch lookup_watch;
+    digest = WlDigest(g);
+    const std::size_t home = cache_.ShardOfDigest(digest);
+    std::vector<ExactHit> twins;
+    {
+      const auto shard_lock = cache_.LockShared(home);
+      if (snap == nullptr ||
+          cache_.shard(home).watermark() == snap->watermark) {
+        twins =
+            discovery_.CollectExact(g, digest, kind, cache_.shard(home), csm);
+      }
+    }
+    std::optional<ExactHit> exact =
+        discovery_.ResolveExact(g, std::move(twins), csm, &m);
+    m.t_probe_ns = lookup_watch.ElapsedNanos();
+    if (exact.has_value()) {
+      // Method M never runs, so the hit is zero-test by construction —
+      // recorded explicitly rather than via m.si_tests.
+      batch_for(home).credits.push_back({exact->id, HitKind::kExact,
+                                         exact->tests_saved,
+                                         /*zero_test_exact=*/true});
+      answer_bits = std::move(exact->answer);
+      m.answer_size = answer_bits.Count();
+      return;
+    }
+  }
+
   // --- Sub-pattern fragment tier, part 1: decompose the query into its
   // canonical one-hop stars once. Subgraph queries only — star ⊆ g means
   // g ⊆ G forces star ⊆ G, so a fragment's valid non-answers exclude
@@ -1019,6 +1019,7 @@ void GraphCachePlus::ExecuteReadSlice(
   if (options_.use_fragment_cache && options_.enable_admission &&
       options_.fragment_capacity > 0 && kind == QueryKind::kSubgraph &&
       !bypass_cache) {
+    ScopedTimer timer(&m.t_fragment_ns);
     fragments = DecomposeToFragments(g, options_.max_fragments_per_query);
   }
   std::vector<DynamicBitset> fragment_masks(fragments.size());
@@ -1046,7 +1047,7 @@ void GraphCachePlus::ExecuteReadSlice(
         // an optimization, exactness never depends on them.
         continue;
       }
-      discovery_.CollectShard(g, features, kind, cache_.shard(s), csm, &pool,
+      discovery_.CollectShard(features, kind, cache_.shard(s), csm, &pool,
                               &m);
       // Fragment probe rides the same shard lock (and the same epoch
       // lag-skip: a lagging shard's fragment bits describe an older
@@ -1065,11 +1066,11 @@ void GraphCachePlus::ExecuteReadSlice(
         ++m.fragment_hits;
       }
     }
-    hits = discovery_.ResolveHits(g, kind, std::move(pool), csm, &m);
+    hits = discovery_.ResolveHits(g, kind, std::move(pool), &m);
   }
-  m.t_probe_ns = probe_watch.ElapsedNanos();
+  m.t_probe_ns += probe_watch.ElapsedNanos();
 
-  // --- Candidate-set pruning (formulas (1)-(5), §6.3 shortcuts). --------
+  // --- Candidate-set pruning (formulas (1)-(5), §6.3 case 2). -----------
   Stopwatch prune_watch;
   PruneOutcome pruned = CandidateSetPruner::Prune(hits, csm, &m);
   m.t_prune_ns = prune_watch.ElapsedNanos();
@@ -1134,22 +1135,11 @@ void GraphCachePlus::ExecuteReadSlice(
     }
     // candidates_final reports what Method M actually verifies.
     m.candidates_final = pruned.candidates.Count();
-    m.t_fragment_ns = fragment_watch.ElapsedNanos();
+    m.t_fragment_ns += fragment_watch.ElapsedNanos();
   }
 
   // --- Statistics Manager: defer credits for contributing entries,
   // routed to each entry's home shard. ----------------------------------
-  had_exact = hits.exact.has_value();
-  if (hits.exact.has_value()) {
-    // An exact hit short-circuits the query (pruned.direct below), so
-    // Method M never runs and the hit is zero-test by construction —
-    // recorded explicitly rather than via m.si_tests, which is only
-    // written by the (skipped) verification step.
-    batch_for(cache_.ShardOfDigest(hits.exact->digest))
-        .credits.push_back({hits.exact->id, HitKind::kExact,
-                            pruned.saved_positive,
-                            /*zero_test_exact=*/true});
-  }
   if (hits.empty_proof.has_value()) {
     batch_for(cache_.ShardOfDigest(hits.empty_proof->digest))
         .credits.push_back({hits.empty_proof->id, HitKind::kEmptyProof,
@@ -1187,13 +1177,13 @@ void GraphCachePlus::ExecuteReadSlice(
 
   // --- Cache Manager: defer the admission offer, stamped with the
   // watermark the answer snapshot is consistent with and routed to the
-  // query digest's home shard. Exact hits carry no new knowledge — the
-  // isomorphic entry is already resident. ------------------------------
-  if (options_.enable_admission && !had_exact && shed_offers) {
+  // query digest's home shard. (Exact hits returned above: they carry no
+  // new knowledge.) -----------------------------------------------------
+  if (options_.enable_admission && shed_offers) {
     // ELEVATED/CRITICAL: the answer was produced normally, but the store
     // is not offered the new entry — no queue traffic, no bytes.
     admission_offers_shed_.fetch_add(1, std::memory_order_relaxed);
-  } else if (options_.enable_admission && !had_exact) {
+  } else if (options_.enable_admission) {
     // Entry preparation is admission work executed early (off any
     // exclusive lock), so it bills to maintenance, not query time.
     ScopedTimer timer(&m.t_maintenance_ns);
@@ -1212,7 +1202,8 @@ void GraphCachePlus::ExecuteReadSlice(
         kind == QueryKind::kSubgraph ? CachedQueryKind::kSubgraph
                                      : CachedQueryKind::kSupergraph,
         answer_bits, std::move(valid),
-        StatisticsManager::StructuralCostEstimateMs(g));
+        StatisticsManager::StructuralCostEstimateMs(g),
+        lookup_twin ? digest : WlDigest(g));
     offer.observed_watermark = watermark;
     const std::size_t home = cache_.ShardOfDigest(offer.entry->digest);
     batch_for(home).offer = std::move(offer);
@@ -1221,8 +1212,7 @@ void GraphCachePlus::ExecuteReadSlice(
 
 void GraphCachePlus::ReadPhaseLocked(const Graph& g, QueryKind kind,
                                      QueryMetrics& m, Deferred& deferred,
-                                     DynamicBitset& answer_bits,
-                                     bool& had_exact) {
+                                     DynamicBitset& answer_bits) {
   // ===== Read phase (engine shared lock) =================================
   std::shared_lock<std::shared_mutex> read_lock(mu_);
   engine_lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
@@ -1260,14 +1250,12 @@ void GraphCachePlus::ReadPhaseLocked(const Graph& g, QueryKind kind,
   }
 
   ExecuteReadSlice(g, kind, csm, /*snap=*/nullptr, watermark_,
-                   dataset_->IdHorizon(), m, deferred, answer_bits,
-                   had_exact);
+                   dataset_->IdHorizon(), m, deferred, answer_bits);
 }  // ===== engine shared lock released =====================================
 
 void GraphCachePlus::ReadPhaseEpoch(const Graph& g, QueryKind kind,
                                     QueryMetrics& m, Deferred& deferred,
-                                    DynamicBitset& answer_bits,
-                                    bool& had_exact) {
+                                    DynamicBitset& answer_bits) {
   // ===== Read phase (epoch pin — no engine lock anywhere) ================
   EpochManager::Guard guard;
   const EngineSnapshot* snap = nullptr;
@@ -1304,7 +1292,7 @@ void GraphCachePlus::ReadPhaseEpoch(const Graph& g, QueryKind kind,
   }
 
   ExecuteReadSlice(g, kind, csm, snap, snap->watermark, snap->id_horizon, m,
-                   deferred, answer_bits, had_exact);
+                   deferred, answer_bits);
 }  // ===== epoch unpinned on guard destruction =============================
 
 QueryResult GraphCachePlus::Query(const Graph& g, QueryKind kind) {
@@ -1317,11 +1305,10 @@ QueryResult GraphCachePlus::Query(const Graph& g, QueryKind kind) {
   Deferred deferred;
 
   DynamicBitset answer_bits;
-  bool had_exact = false;
   if (options_.epoch_reads) {
-    ReadPhaseEpoch(g, kind, m, deferred, answer_bits, had_exact);
+    ReadPhaseEpoch(g, kind, m, deferred, answer_bits);
   } else {
-    ReadPhaseLocked(g, kind, m, deferred, answer_bits, had_exact);
+    ReadPhaseLocked(g, kind, m, deferred, answer_bits);
   }
 
   result.answer.reserve(answer_bits.Count());

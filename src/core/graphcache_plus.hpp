@@ -320,8 +320,8 @@ class GraphCachePlus {
     /// state is reconciled to (engine watermark on the lock path, shard
     /// watermark == snapshot watermark on the epoch path).
     LogSeq watermark = 0;
-    /// Live mask for the admission-dedup probe; nullptr → recompute from
-    /// the dataset per offer (PR 4 lock-path fidelity).
+    /// Live mask for the twin lookup's full-validity test; nullptr →
+    /// recompute from the dataset per offer (the lock path's oracle).
     const DynamicBitset* live = nullptr;
     /// Record source for forward validation; nullptr → the change log.
     const EngineSnapshot* snap = nullptr;
@@ -346,30 +346,30 @@ class GraphCachePlus {
   /// the shared read slice. Bumps engine_lock_acquisitions_ per mu_
   /// acquisition.
   void ReadPhaseLocked(const Graph& g, QueryKind kind, QueryMetrics& m,
-                       Deferred& deferred, DynamicBitset& answer_bits,
-                       bool& had_exact);
+                       Deferred& deferred, DynamicBitset& answer_bits);
 
   /// Epoch-path read phase: pin, load snapshot, republish-if-stale (only
   /// out-of-band serial mutations trigger that), then the shared read
   /// slice against the snapshot. Never touches mu_.
   void ReadPhaseEpoch(const Graph& g, QueryKind kind, QueryMetrics& m,
-                      Deferred& deferred, DynamicBitset& answer_bits,
-                      bool& had_exact);
+                      Deferred& deferred, DynamicBitset& answer_bits);
 
-  /// The mode-independent read slice: shard-local discovery (one shared
-  /// shard lock at a time; epoch mode skips shards whose watermark is not
-  /// `watermark`), pruning, credit extraction, Method M verification, and
-  /// admission-offer preparation. `snap` null on the lock path.
+  /// The mode-independent read slice: the twin lookup (an exact hit
+  /// ends the slice), then shard-local discovery (one shared shard lock
+  /// at a time; epoch mode skips shards whose watermark is not
+  /// `watermark`), pruning, the fragment tier, credit extraction, Method
+  /// M verification, and admission-offer preparation. `snap` null on the
+  /// lock path.
   void ExecuteReadSlice(const Graph& g, QueryKind kind,
                         const DynamicBitset& csm, const EngineSnapshot* snap,
                         LogSeq watermark, std::size_t id_horizon,
                         QueryMetrics& m, Deferred& deferred,
-                        DynamicBitset& answer_bits, bool& had_exact);
+                        DynamicBitset& answer_bits);
 
   // --- Maintenance --------------------------------------------------------
 
   /// Pops shard `s`'s queue and applies it under `env` — credits summed
-  /// per entry, offers dedup-probed/validated/admitted, replacement at
+  /// per entry, offers deduped/refreshed/admitted, replacement at
   /// most once. Requires shard `s`'s exclusive lock (plus, on the lock
   /// path, the engine lock).
   void DrainShardLocked(std::size_t s, const DrainEnv& env);
@@ -417,19 +417,22 @@ class GraphCachePlus {
   static std::vector<CacheManager::EntryCreditSum> SumCredits(
       std::span<const PendingMaintenance> batches);
 
-  /// Applies one batch's admission offer to shard `s` (dedup-dropped when
-  /// an isomorphic fully-valid twin is resident; forward-validated or
-  /// dropped when stale). Requires shard `s`'s exclusive lock.
+  /// Applies one batch's fragment credits, fragment offers and admission
+  /// offer to shard `s`. The admission offer goes through the
+  /// digest-keyed twin lookup: it is dropped when an isomorphic twin fully
+  /// valid over the live dataset is resident (dedup), merged into an
+  /// isomorphic twin that is not (refresh), and admitted otherwise; stale
+  /// offers are forward-validated first (CON) or dropped (EVI). Requires
+  /// shard `s`'s exclusive lock.
   void ApplyMaintenanceLocked(std::size_t s, PendingMaintenance& batch,
                               const DrainEnv& env);
 
-  /// True when shard `s` already holds an entry isomorphic to `entry`
-  /// (same kind, same WL digest, equal counts, containment) that is fully
-  /// valid over `live` — the §6.3 exact-hit precondition, which is
-  /// exactly when the serial engine would not have produced this offer in
-  /// the first place. Requires shard `s`'s lock.
-  bool IsDuplicateAdmissionLocked(std::size_t s, const CachedQuery& entry,
-                                  const DynamicBitset& live) const;
+  /// CON forward validation of an offer computed at `observed`: Algorithms
+  /// 1 + 2 over the change records between `observed` and env.watermark,
+  /// so the offer sits at the store's watermark. Requires the target
+  /// shard's exclusive lock.
+  void ForwardValidateLocked(CachedQuery& entry, LogSeq observed,
+                             const DrainEnv& env) const;
 
   // --- Epoch path ---------------------------------------------------------
 

@@ -48,7 +48,8 @@ struct GraphCachePlusOptions {
   std::size_t max_sub_hits = 16;
   std::size_t max_super_hits = 16;
 
-  /// §6.3 optimal cases.
+  /// §6.3 optimal cases. The exact shortcut also gates the drain-time
+  /// twin dedup/refresh: with it off, every admission offer is admitted.
   bool enable_exact_shortcut = true;
   bool enable_empty_answer_shortcut = true;
 

@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "common/stopwatch.hpp"
+#include "graph/canonical.hpp"
 
 namespace gcp {
 
@@ -52,7 +53,61 @@ DiscoveredHit TakeHit(HitDiscovery::Candidate& c) {
 
 }  // namespace
 
-void HitDiscovery::CollectShard(const Graph& g, const GraphFeatures& features,
+std::vector<const CachedQuery*> HitDiscovery::TwinCandidates(
+    const Graph& g, std::uint64_t digest, CachedQueryKind kind,
+    const CacheManager& shard) const {
+  std::vector<const CachedQuery*> twins;
+  if (!options_.enable_exact_shortcut) return twins;
+  for (const CachedQuery* e : shard.index().DigestMatches(digest)) {
+    if (e->kind == kind && e->query->NumVertices() == g.NumVertices() &&
+        e->query->NumEdges() == g.NumEdges()) {
+      twins.push_back(e);
+    }
+  }
+  return twins;
+}
+
+std::vector<ExactHit> HitDiscovery::CollectExact(
+    const Graph& g, std::uint64_t digest, QueryKind kind,
+    const CacheManager& shard, const DynamicBitset& csm) const {
+  std::vector<ExactHit> out;
+  for (const CachedQuery* e :
+       TwinCandidates(g, digest, ToCachedKind(kind), shard)) {
+    if (!FullyValid(*e, csm)) continue;
+    ExactHit hit;
+    hit.query = e->query;
+    hit.id = e->id;
+    hit.digest = e->digest;
+    hit.answer = DynamicBitset::And(e->answer, csm);
+    out.push_back(std::move(hit));
+  }
+  return out;
+}
+
+std::optional<ExactHit> HitDiscovery::ResolveExact(
+    const Graph& g, std::vector<ExactHit> candidates,
+    const DynamicBitset& csm, QueryMetrics* metrics) const {
+  for (ExactHit& c : candidates) {
+    if (!IsTwin(g, *c.query)) continue;
+    c.tests_saved = csm.Count();
+    if (metrics != nullptr) {
+      metrics->exact_hit = true;
+      metrics->tests_saved_sub += c.tests_saved;
+      metrics->candidates_final = 0;
+    }
+    return std::move(c);
+  }
+  return std::nullopt;
+}
+
+std::optional<ExactHit> HitDiscovery::FindExact(
+    const Graph& g, QueryKind kind, const CacheManager& shard,
+    const DynamicBitset& csm, QueryMetrics* metrics) const {
+  return ResolveExact(g, CollectExact(g, WlDigest(g), kind, shard, csm), csm,
+                      metrics);
+}
+
+void HitDiscovery::CollectShard(const GraphFeatures& features,
                                 QueryKind kind, const CacheManager& shard,
                                 const DynamicBitset& live,
                                 std::vector<Candidate>* out,
@@ -84,7 +139,7 @@ void HitDiscovery::CollectShard(const Graph& g, const GraphFeatures& features,
   const bool positive_from_sub = (kind == QueryKind::kSubgraph);
 
   // Prescreen: drop wrong-kind entries and zero-utility candidates that
-  // can serve no §6.3 shortcut; copy the survivors so nothing references
+  // cannot prove an empty answer; copy the survivors so nothing references
   // the shard after its lock is dropped. An entry may survive in both
   // roles (it is then copied twice, once per role — rare by
   // construction: it must pass both direction shortlists).
@@ -94,10 +149,7 @@ void HitDiscovery::CollectShard(const Graph& g, const GraphFeatures& features,
     c.positive_role = positive_role;
     if (positive_role) {
       c.utility = PositiveUtility(*e, live);
-      c.maybe_exact = options_.enable_exact_shortcut &&
-                      e->query->NumVertices() == g.NumVertices() &&
-                      e->query->NumEdges() == g.NumEdges();
-      if (c.utility == 0 && !c.maybe_exact) return;
+      if (c.utility == 0) return;
     } else {
       c.utility = PruningUtility(*e, live);
       c.empty_eligible = options_.enable_empty_answer_shortcut &&
@@ -132,7 +184,6 @@ void HitDiscovery::CollectShard(const Graph& g, const GraphFeatures& features,
 
 DiscoveredHits HitDiscovery::ResolveHits(const Graph& g, QueryKind kind,
                                          std::vector<Candidate> candidates,
-                                         const DynamicBitset& live,
                                          QueryMetrics* metrics) const {
   DiscoveredHits hits;
   const bool positive_from_sub = (kind == QueryKind::kSubgraph);
@@ -171,8 +222,6 @@ DiscoveredHits HitDiscovery::ResolveHits(const Graph& g, QueryKind kind,
       options_.max_super_hits == 0 ? candidates.size()
                                    : options_.max_super_hits;
 
-  // Positive pool first (mirrors the serial engine: an exact hit
-  // short-circuits before any pruning-direction verification happens).
   for (const std::size_t i : order) {
     Candidate& c = candidates[i];
     if (!c.positive_role) continue;
@@ -185,16 +234,7 @@ DiscoveredHits HitDiscovery::ResolveHits(const Graph& g, QueryKind kind,
                    ? matcher_.ContainsPrepared(prepared(), *c.query)
                    : matcher_.Contains(g, *c.query))
             : matcher_.Contains(*c.query, g);
-    if (!contained) continue;
-    // §6.3 case 1: equal counts + one-way containment ⇒ isomorphic; with
-    // full validity the cached answer is final.
-    if (c.maybe_exact && c.valid.size() == live.size() &&
-        live.IsSubsetOf(c.valid)) {
-      hits.exact = TakeHit(c);
-      if (metrics != nullptr) metrics->exact_hit = true;
-      return hits;
-    }
-    if (c.utility > 0) hits.positive.push_back(TakeHit(c));
+    if (contained) hits.positive.push_back(TakeHit(c));
   }
 
   for (const std::size_t i : order) {
@@ -238,9 +278,9 @@ DiscoveredHits HitDiscovery::Discover(const Graph& g, QueryKind kind,
   const GraphFeatures features = GraphFeatures::Extract(g);
   std::vector<Candidate> pool;
   for (const CacheManager* shard : shards) {
-    CollectShard(g, features, kind, *shard, live, &pool, metrics);
+    CollectShard(features, kind, *shard, live, &pool, metrics);
   }
-  return ResolveHits(g, kind, std::move(pool), live, metrics);
+  return ResolveHits(g, kind, std::move(pool), metrics);
 }
 
 }  // namespace gcp

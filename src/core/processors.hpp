@@ -12,7 +12,8 @@
 // shortlists by monotone features, an exact matcher verifies, and only
 // *useful* candidates (non-zero standalone benefit) are verified at all.
 // The processors also recognize the §6.3 optimal cases: an isomorphic
-// cached query (exact hit) and an empty-answer proof.
+// cached query (exact hit, through the twin lookup below) and an
+// empty-answer proof.
 //
 // Discovery is shard-local (PR 5): CollectShard runs the per-shard
 // prescreen — candidate enumeration, kind filter, utility computation,
@@ -26,8 +27,17 @@
 // lock. ResolveHits then merges the per-shard survivor lists, applies
 // the single global utility ordering (ties on WL digest, then entry id —
 // hit selection is shard-layout-independent), and runs containment
-// verification and the §6.3 shortcuts with no lock held at all. The
-// resulting DiscoveredHits own their data outright.
+// verification and the §6.3 case-2 shortcut with no lock held at all.
+// The resulting DiscoveredHits own their data outright.
+//
+// §6.3 case 1 (exact hit) is not a discovery outcome: the digest-keyed
+// twin lookup decides it. Isomorphic queries share a WL digest, and the
+// digest picks the home shard, so every isomorphic twin of a query sits
+// in one shard under one digest. The read phase asks the lookup first
+// (CollectExact under the home shard's lock, ResolveExact with no lock
+// held) and skips discovery on a hit; the drain asks it (TwinCandidates +
+// IsTwin under the exclusive lock) to dedup or refresh an admission
+// offer.
 
 #ifndef GCP_CORE_PROCESSORS_HPP_
 #define GCP_CORE_PROCESSORS_HPP_
@@ -68,13 +78,22 @@ struct DiscoveredHits {
   /// candidates (formula (5) resp. its inverse).
   std::vector<DiscoveredHit> pruning;
 
-  /// §6.3 case 1: resident query isomorphic to g with full validity over
-  /// the live dataset; its answer is returned directly.
-  std::optional<DiscoveredHit> exact;
-
   /// §6.3 case 2: a pruning-direction entry with (still fully valid) empty
   /// answer proving the new query's answer is empty.
   std::optional<DiscoveredHit> empty_proof;
+};
+
+/// §6.3 case 1: a resident same-kind twin isomorphic to the query and
+/// fully valid over CS_M answers it outright with zero sub-iso tests.
+/// Owns its data.
+struct ExactHit {
+  /// Shared ownership of the twin's immutable graph, so the isomorphism
+  /// check runs after the shard lock is released.
+  std::shared_ptr<const Graph> query;
+  CacheEntryId id = 0;            ///< For the deferred exact credit.
+  std::uint64_t digest = 0;       ///< Routes the credit to the home shard.
+  DynamicBitset answer;           ///< The twin's answer ∧ CS_M: final.
+  std::uint64_t tests_saved = 0;  ///< |CS_M|: every test alleviated.
 };
 
 /// \brief Implements both processors over the cache index.
@@ -94,7 +113,6 @@ class HitDiscovery {
     std::uint64_t digest = 0;
     std::size_t utility = 0;
     bool positive_role = false;  ///< Positive pool vs pruning pool.
-    bool maybe_exact = false;    ///< §6.3 case-1 precheck passed.
     bool empty_eligible = false; ///< §6.3 case-2 precondition holds.
   };
 
@@ -105,28 +123,67 @@ class HitDiscovery {
                const GraphCachePlusOptions& options)
       : matcher_(internal_matcher), options_(options) {}
 
-  /// Per-shard prescreen: enumerates `shard`'s index candidates for `g`
-  /// in both directions, filters by kind, computes standalone utilities
-  /// against `live`, drops zero-utility candidates that can serve no §6.3
-  /// shortcut, and appends owned copies of the survivors to `out`. The
-  /// caller holds this shard's lock (shared suffices) for exactly this
-  /// call. `features` must be GraphFeatures::Extract(g). Adds candidate
-  /// enumeration time to metrics->t_discover_ns.
-  void CollectShard(const Graph& g, const GraphFeatures& features,
-                    QueryKind kind, const CacheManager& shard,
-                    const DynamicBitset& live,
-                    std::vector<Candidate>* out,
-                    QueryMetrics* metrics) const;
+  /// Digest-keyed twin lookup, the one place that decides whether a
+  /// resident entry is an isomorphic twin of a query: the entries of
+  /// `shard` (the digest's home shard) of kind `kind` whose WL digest is
+  /// `digest` and whose vertex and edge counts equal g's, in admission
+  /// order. IsTwin confirms a candidate. Empty when the exact shortcut is
+  /// off. The caller holds the shard's lock (shared suffices) while it
+  /// reads the returned entries.
+  std::vector<const CachedQuery*> TwinCandidates(const Graph& g,
+                                                 std::uint64_t digest,
+                                                 CachedQueryKind kind,
+                                                 const CacheManager& shard)
+      const;
+
+  /// Equal counts (screened by TwinCandidates) plus one-way containment
+  /// imply isomorphism: the embedding is a bijection on vertices and on
+  /// edges.
+  bool IsTwin(const Graph& g, const Graph& twin) const {
+    return matcher_.Contains(g, twin);
+  }
+
+  /// Read-phase half of the lookup, under the home shard's lock: copies
+  /// out the twin candidates that are fully valid over `csm`, each with
+  /// its answer already restricted to `csm`.
+  std::vector<ExactHit> CollectExact(const Graph& g, std::uint64_t digest,
+                                     QueryKind kind, const CacheManager& shard,
+                                     const DynamicBitset& csm) const;
+
+  /// Lock-free half: the first collected candidate IsTwin confirms is the
+  /// exact hit. Records it in `metrics` (exact_hit, tests_saved_sub +=
+  /// |csm|, candidates_final = 0). Consumes `candidates`.
+  std::optional<ExactHit> ResolveExact(const Graph& g,
+                                       std::vector<ExactHit> candidates,
+                                       const DynamicBitset& csm,
+                                       QueryMetrics* metrics) const;
+
+  /// Convenience composition for callers that already hold the shard
+  /// lock (tests, single-store uses): digest, collect, resolve.
+  std::optional<ExactHit> FindExact(const Graph& g, QueryKind kind,
+                                    const CacheManager& shard,
+                                    const DynamicBitset& csm,
+                                    QueryMetrics* metrics) const;
+
+  /// Per-shard prescreen: enumerates `shard`'s index candidates for the
+  /// query with `features` in both directions, filters by kind, computes
+  /// standalone utilities against `live`, drops zero-utility candidates
+  /// that cannot serve the §6.3 empty-answer proof, and appends owned
+  /// copies of the survivors to `out`. The caller holds this shard's lock
+  /// (shared suffices) for exactly this call. Adds candidate enumeration
+  /// time to metrics->t_discover_ns.
+  void CollectShard(const GraphFeatures& features, QueryKind kind,
+                    const CacheManager& shard, const DynamicBitset& live,
+                    std::vector<Candidate>* out, QueryMetrics* metrics) const;
 
   /// Merge + verify stage, lock-free: globally orders the merged survivor
   /// pool by (utility desc, WL digest, entry id), verifies containment in
-  /// that order under the hit caps, and recognizes the §6.3 shortcuts —
-  /// so hit selection is independent of how entries are sharded, up to WL
-  /// digest collisions between distinct resident queries. Consumes
-  /// `candidates`.
+  /// that order under the hit caps, and recognizes the §6.3 empty-answer
+  /// proof — so hit selection is independent of how entries are sharded,
+  /// up to WL digest collisions between distinct resident queries.
+  /// Consumes `candidates`.
   DiscoveredHits ResolveHits(const Graph& g, QueryKind kind,
                              std::vector<Candidate> candidates,
-                             const DynamicBitset& live,
                              QueryMetrics* metrics) const;
 
   /// Convenience composition for callers that already hold every shard

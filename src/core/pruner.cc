@@ -10,21 +10,6 @@ PruneOutcome CandidateSetPruner::Prune(const DiscoveredHits& hits,
   PruneOutcome out;
   const std::size_t horizon = csm.size();
 
-  // §6.3 case 1 — exact hit: the cached answer restricted to the live
-  // dataset is the final answer; every sub-iso test is alleviated.
-  if (hits.exact.has_value()) {
-    assert(hits.exact->answer.size() == horizon);
-    out.direct = true;
-    out.answer_direct = DynamicBitset::And(hits.exact->answer, csm);
-    out.candidates = DynamicBitset(horizon);
-    out.saved_positive = csm.Count();
-    if (metrics != nullptr) {
-      metrics->tests_saved_sub += out.saved_positive;
-      metrics->candidates_final = 0;
-    }
-    return out;
-  }
-
   // §6.3 case 2 — empty-answer proof: the answer is provably empty.
   if (hits.empty_proof.has_value()) {
     out.direct = true;

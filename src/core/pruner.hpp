@@ -8,7 +8,9 @@
 //   (5) CS_GC+super(g)  = CS(g) ∩ ⋂_{g''_j} g''_j.Answer_super(g)
 //   (3) Answer(g)       = verified(CS) ∪ Answer_sub(g)
 // The runtime applies (2) first and then (5) on its result (§6.3), which
-// is what this pruner does in one pass.
+// is what this pruner does in one pass. Of the §6.3 optimal cases only
+// the empty-answer proof reaches it; the exact hit is answered by the
+// digest-keyed twin lookup before discovery (core/processors.hpp).
 
 #ifndef GCP_CORE_PRUNER_HPP_
 #define GCP_CORE_PRUNER_HPP_
@@ -21,12 +23,11 @@ namespace gcp {
 
 /// Outcome of candidate-set pruning for one query.
 struct PruneOutcome {
-  /// True when a §6.3 shortcut fully answered the query: `answer_direct`
-  /// is final and `candidates` is empty.
+  /// True when the §6.3 empty-answer proof fully answered the query:
+  /// `answer_direct` (empty) is final and `candidates` is empty.
   bool direct = false;
 
-  /// Graphs answered without sub-iso testing: formula (1) contributions,
-  /// or the full cached answer on an exact hit.
+  /// Graphs answered without sub-iso testing: formula (1) contributions.
   DynamicBitset answer_direct;
 
   /// Candidate set left for Method M verification (formulas (2) + (5)).

@@ -1,5 +1,6 @@
 #include "workload/runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <thread>
@@ -21,6 +22,11 @@ std::string_view RunModeName(RunMode mode) {
 }
 
 namespace {
+
+/// The whole-query footprint a byte budget governs: graphs + bitsets.
+std::uint64_t ResidentBytes(const StatisticsManager& stats) {
+  return stats.approx_graph_bytes + stats.approx_bitset_bytes;
+}
 
 /// N client threads pull query tickets from a shared counter; whichever
 /// thread draws a query with a due change batch fires it through
@@ -130,6 +136,11 @@ RunReport RunWorkload(const std::vector<Graph>& initial,
       executor.AdvanceTo(static_cast<std::uint32_t>(i));
       QueryResult r = gc.Query(workload.queries[i].query, config.query_kind);
       if (answers != nullptr) (*answers)[i] = std::move(r.answer);
+      if (config.track_peak_resident_bytes) {
+        report.peak_resident_bytes =
+            std::max(report.peak_resident_bytes,
+                     ResidentBytes(gc.CacheStatsSnapshot()));
+      }
       if (warmup != 0 && i + 1 == warmup) {
         gc.ResetAggregate();
         measured_wall.Restart();
@@ -158,6 +169,10 @@ RunReport RunWorkload(const std::vector<Graph>& initial,
   }
   report.agg = gc.AggregateSnapshot();
   report.cache_stats = gc.CacheStatsSnapshot();
+  if (config.track_peak_resident_bytes) {
+    report.peak_resident_bytes = std::max(report.peak_resident_bytes,
+                                          ResidentBytes(report.cache_stats));
+  }
   return report;
 }
 

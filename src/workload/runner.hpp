@@ -111,6 +111,11 @@ struct RunnerConfig {
   /// Byte-accounted capacity cap (--byte-budget; 0 = off, the entry-count
   /// legacy model). See GraphCachePlusOptions::byte_budget.
   std::size_t byte_budget = 0;
+  /// Sample the resident whole-query footprint after every query of a
+  /// serial run (client_threads <= 1) and at the end of the run, and
+  /// report its high-water mark in RunReport::peak_resident_bytes. Off by
+  /// default: each sample is a full stats snapshot.
+  bool track_peak_resident_bytes = false;
 };
 
 /// \brief Outcome of one experiment run.
@@ -131,6 +136,10 @@ struct RunReport {
   double measured_wall_ms = 0.0;
   /// Queries in the measured span.
   std::size_t measured_queries = 0;
+  /// High-water mark of the resident whole-query graph + bitset bytes
+  /// (the footprint byte_budget governs) over the whole run, warm-up
+  /// included; 0 unless config.track_peak_resident_bytes.
+  std::uint64_t peak_resident_bytes = 0;
 
   double qps() const {
     return measured_wall_ms <= 0.0

@@ -1,10 +1,15 @@
-// Drain-time admission dedup: two concurrent executions of the same query
-// can both miss the read-phase exact-hit check and offer isomorphic twin
-// entries. The per-shard apply path probes the shard's digest index and
-// drops the second offer — but ONLY when the resident twin is fully valid
-// over the live dataset (the serial engine's §6.3 exact-hit
-// precondition); isomorphic-but-not-fully-valid residents do not block
-// admission, because the serial engine admits those too.
+// Drain-time dedup-or-refresh: every admission offer passes the
+// digest-keyed twin lookup in its home shard before it may become an
+// entry, so the cache holds at most one entry per isomorphism class.
+//   * Dedup — the resident twin is fully valid over the live dataset. Two
+//     concurrent executions of the same query can both miss the
+//     read-phase exact-hit check and offer twins; the second offer is
+//     dropped.
+//   * Refresh — the resident twin is isomorphic but Algorithm 2 faded
+//     some of its validity bits. The offer is forward-validated to the
+//     store's watermark and merged into the twin (valid bits union, the
+//     offer's answer overwrites its valid range), so the twin keeps its
+//     benefit history and serves the next repeat as an exact hit.
 //
 // The tests make the race deterministic: the maintenance thread is given
 // an hour-long timer and queues big enough that no pressure wakeup fires,
@@ -14,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
 
 #include "core/graphcache_plus.hpp"
 #include "../test_util.hpp"
@@ -21,12 +27,14 @@
 namespace gcp {
 namespace {
 
-GraphCachePlusOptions ParkedMaintenanceOptions(std::size_t shards) {
+GraphCachePlusOptions ParkedMaintenanceOptions(std::size_t shards,
+                                               bool epoch_reads) {
   GraphCachePlusOptions opts;
   opts.model = CacheModel::kCon;
   opts.cache_capacity = 8;
   opts.window_capacity = 4;
   opts.num_shards = shards;
+  opts.epoch_reads = epoch_reads;
   opts.maintenance_thread = true;
   // Park the drain thread: no timer tick within the test, and queues far
   // from the pressure threshold — offers stay queued until an explicit
@@ -36,23 +44,29 @@ GraphCachePlusOptions ParkedMaintenanceOptions(std::size_t shards) {
   return opts;
 }
 
-class AdmissionDedupTest : public ::testing::TestWithParam<std::size_t> {
- protected:
-  void SetUp() override {
-    // g0, g1 contain the A-B path; g2 (all-C path) does not and has a
-    // free non-edge (0,2) to target with a UA later.
-    corpus_.push_back(testing::MakePath({0, 1, 2}));  // A-B-C
-    corpus_.push_back(testing::MakeTriangle(0, 1, 2));
-    corpus_.push_back(testing::MakePath({2, 2, 2}));
-    ds_.Bootstrap(corpus_);
-    gc_ = std::make_unique<GraphCachePlus>(
-        &ds_, ParkedMaintenanceOptions(GetParam()));
+/// g0, g1 contain the A-B path; g2 (all-C path) does not and has a free
+/// non-edge (0,2) to target with a UA later.
+struct ParkedEngine {
+  ParkedEngine(std::size_t shards, bool epoch_reads) {
+    corpus.push_back(testing::MakePath({0, 1, 2}));  // A-B-C
+    corpus.push_back(testing::MakeTriangle(0, 1, 2));
+    corpus.push_back(testing::MakePath({2, 2, 2}));
+    ds.Bootstrap(corpus);
+    gc = std::make_unique<GraphCachePlus>(
+        &ds, ParkedMaintenanceOptions(shards, epoch_reads));
   }
 
-  std::vector<Graph> corpus_;
-  GraphDataset ds_;
-  std::unique_ptr<GraphCachePlus> gc_;
-  const Graph query_ = testing::MakePath({0, 1});  // A-B
+  std::vector<Graph> corpus;
+  GraphDataset ds;
+  std::unique_ptr<GraphCachePlus> gc;
+  const Graph query = testing::MakePath({0, 1});  // A-B
+};
+
+class AdmissionDedupTest : public ::testing::TestWithParam<std::size_t> {
+ protected:
+  ParkedEngine e_{GetParam(), /*epoch_reads=*/false};
+  GraphCachePlus* const gc_ = e_.gc.get();
+  const Graph& query_ = e_.query;
 };
 
 TEST_P(AdmissionDedupTest, SecondTwinOfferIsDroppedAtDrain) {
@@ -78,7 +92,18 @@ TEST_P(AdmissionDedupTest, SecondTwinOfferIsDroppedAtDrain) {
   EXPECT_EQ(gc_->CacheStatsSnapshot().total_exact_hits, 1u);
 }
 
-TEST_P(AdmissionDedupTest, NotFullyValidTwinDoesNotBlockAdmission) {
+INSTANTIATE_TEST_SUITE_P(ShardCounts, AdmissionDedupTest,
+                         ::testing::Values(1u, 4u));
+
+class AdmissionDedupRefreshTest
+    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {
+ protected:
+  ParkedEngine e_{std::get<0>(GetParam()), std::get<1>(GetParam())};
+  GraphCachePlus* const gc_ = e_.gc.get();
+  const Graph& query_ = e_.query;
+};
+
+TEST_P(AdmissionDedupRefreshTest, StaleTwinIsRefreshedInPlace) {
   // Admit the query once.
   gc_->SubgraphQuery(query_);
   gc_->FlushMaintenance();
@@ -93,24 +118,49 @@ TEST_P(AdmissionDedupTest, NotFullyValidTwinDoesNotBlockAdmission) {
 
   // Two more executions: the resident twin is isomorphic but no longer
   // fully valid, so neither read phase takes the exact shortcut and both
-  // defer offers, exactly like the serial engine would.
-  gc_->SubgraphQuery(query_);
+  // defer offers.
+  const QueryResult faded = gc_->SubgraphQuery(query_);
+  EXPECT_FALSE(faded.metrics.exact_hit);
   gc_->SubgraphQuery(query_);
   gc_->FlushMaintenance();
 
-  // Serial semantics preserved: the first fresh offer is admitted
-  // alongside the faded twin; the second is dedup-dropped against the
-  // (fully valid) first.
-  EXPECT_EQ(gc_->cache_shards().resident(), 2u);
-  const StatisticsManager stats = gc_->CacheStatsSnapshot();
-  EXPECT_EQ(stats.total_admissions, 2u);
+  // The first offer refreshes the faded twin in place; the second finds
+  // it fully valid again and is dedup-dropped. No second entry.
+  EXPECT_EQ(gc_->cache_shards().resident(), 1u);
+  StatisticsManager stats = gc_->CacheStatsSnapshot();
+  EXPECT_EQ(stats.total_admissions, 1u);
+  EXPECT_EQ(stats.total_admission_refreshes, 1u);
   EXPECT_EQ(stats.total_admission_dedups, 1u);
   EXPECT_EQ(stats.total_exact_hits, 0u);
+  gc_->cache_shards().ForEachEntry([&](const CachedQuery& e) {
+    EXPECT_TRUE(e.valid.All()) << "the refresh must restore full validity";
+  });
+
+  // A third execution is a zero-test exact hit on the refreshed twin,
+  // and its answer is uncached Method M's.
+  const QueryResult hit = gc_->SubgraphQuery(query_);
+  EXPECT_TRUE(hit.metrics.exact_hit);
+  EXPECT_EQ(hit.metrics.si_tests, 0u);
+  MethodM reference(MatcherKind::kVf2, e_.ds);
+  std::vector<GraphId> expected;
+  reference.VerifyCandidates(query_, QueryKind::kSubgraph, e_.ds.LiveMask())
+      .ForEachSetBit([&expected](std::size_t id) {
+        expected.push_back(static_cast<GraphId>(id));
+      });
+  EXPECT_EQ(hit.answer, expected);
+  EXPECT_EQ(faded.answer, expected);
+
+  gc_->FlushMaintenance();
+  stats = gc_->CacheStatsSnapshot();
+  EXPECT_EQ(stats.total_exact_hits, 1u);
+  EXPECT_EQ(stats.total_admissions, 1u);
+  EXPECT_EQ(gc_->cache_shards().resident(), 1u);
   EXPECT_EQ(gc_->cache_shards().lock_violations(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(ShardCounts, AdmissionDedupTest,
-                         ::testing::Values(1u, 4u));
+INSTANTIATE_TEST_SUITE_P(ShardsByEpoch, AdmissionDedupRefreshTest,
+                         ::testing::Combine(::testing::Values(1u, 4u),
+                                            ::testing::Bool()));
 
 }  // namespace
 }  // namespace gcp

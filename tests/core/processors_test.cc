@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.hpp"
+#include "graph/canonical.hpp"
 
 namespace gcp {
 namespace {
@@ -46,8 +47,10 @@ TEST_F(ProcessorsTest, EmptyCacheFindsNothing) {
                                          DynamicBitset(4, true), &m);
   EXPECT_TRUE(hits.positive.empty());
   EXPECT_TRUE(hits.pruning.empty());
-  EXPECT_FALSE(hits.exact.has_value());
   EXPECT_FALSE(hits.empty_proof.has_value());
+  EXPECT_FALSE(d.FindExact(MakePath({0, 1}), QueryKind::kSubgraph, cache_,
+                           DynamicBitset(4, true), &m)
+                   .has_value());
   EXPECT_EQ(m.sub_hits, 0u);
   EXPECT_EQ(m.super_hits, 0u);
 }
@@ -106,30 +109,49 @@ TEST_F(ProcessorsTest, KindMismatchNeverHits) {
 }
 
 TEST_F(ProcessorsTest, ExactHitRequiresFullValidity) {
-  // Same query resident but with one invalid bit ⇒ no exact shortcut; it
-  // still serves as a plain positive hit.
+  // Same query resident but with one invalid bit ⇒ the twin lookup finds
+  // no exact hit; discovery still serves the twin as a plain positive hit.
   AdmitEntry(MakePath({0, 1}), 4, {1, 2}, /*valid_off=*/{3});
   const HitDiscovery d = MakeDiscovery();
   QueryMetrics m;
+  EXPECT_FALSE(d.FindExact(MakePath({0, 1}), QueryKind::kSubgraph, cache_,
+                           DynamicBitset(4, true), &m)
+                   .has_value());
+  EXPECT_FALSE(m.exact_hit);
   const DiscoveredHits hits = d.Discover(MakePath({0, 1}),
                                          QueryKind::kSubgraph, cache_,
                                          DynamicBitset(4, true), &m);
-  EXPECT_FALSE(hits.exact.has_value());
   EXPECT_EQ(hits.positive.size(), 1u);
-  EXPECT_FALSE(m.exact_hit);
+  // Validity only needs to cover CS_M: with graph 3 outside it, the same
+  // twin is an exact hit.
+  DynamicBitset csm(4, true);
+  csm.Set(3, false);
+  EXPECT_TRUE(d.FindExact(MakePath({0, 1}), QueryKind::kSubgraph, cache_,
+                          csm, &m)
+                  .has_value());
 }
 
 TEST_F(ProcessorsTest, ExactHitDetectedWithFullValidity) {
-  AdmitEntry(MakePath({0, 1}), 4, {1, 2});
+  const CacheEntryId twin = AdmitEntry(MakePath({0, 1}), 4, {1, 2});
   const HitDiscovery d = MakeDiscovery();
   QueryMetrics m;
   // Query is an isomorphic relabelling of vertex order (same path).
-  const DiscoveredHits hits = d.Discover(MakePath({1, 0}),
-                                         QueryKind::kSubgraph, cache_,
-                                         DynamicBitset(4, true), &m);
-  ASSERT_TRUE(hits.exact.has_value());
+  const std::optional<ExactHit> exact =
+      d.FindExact(MakePath({1, 0}), QueryKind::kSubgraph, cache_,
+                  DynamicBitset(4, true), &m);
+  ASSERT_TRUE(exact.has_value());
+  EXPECT_EQ(exact->id, twin);
   EXPECT_TRUE(m.exact_hit);
-  EXPECT_TRUE(hits.positive.empty());  // short-circuited
+  DynamicBitset expected(4);
+  expected.Set(1);
+  expected.Set(2);
+  EXPECT_EQ(exact->answer, expected);
+  // The drain-side half of the lookup sees the same single twin.
+  const Graph q = MakePath({1, 0});
+  const auto twins =
+      d.TwinCandidates(q, WlDigest(q), CachedQueryKind::kSubgraph, cache_);
+  ASSERT_EQ(twins.size(), 1u);
+  EXPECT_TRUE(d.IsTwin(q, *twins[0]->query));
 }
 
 TEST_F(ProcessorsTest, ExactHitIgnoredWhenDisabled) {
@@ -137,11 +159,31 @@ TEST_F(ProcessorsTest, ExactHitIgnoredWhenDisabled) {
   options_.enable_exact_shortcut = false;
   const HitDiscovery d = MakeDiscovery();
   QueryMetrics m;
+  EXPECT_FALSE(d.FindExact(MakePath({0, 1}), QueryKind::kSubgraph, cache_,
+                           DynamicBitset(4, true), &m)
+                   .has_value());
+  // The drain-side dedup/refresh is off with it.
+  const Graph q = MakePath({0, 1});
+  EXPECT_TRUE(
+      d.TwinCandidates(q, WlDigest(q), CachedQueryKind::kSubgraph, cache_)
+          .empty());
   const DiscoveredHits hits = d.Discover(MakePath({0, 1}),
                                          QueryKind::kSubgraph, cache_,
                                          DynamicBitset(4, true), &m);
-  EXPECT_FALSE(hits.exact.has_value());
   EXPECT_EQ(hits.positive.size(), 1u);  // falls back to a plain hit
+}
+
+TEST_F(ProcessorsTest, ExactHitRequiresSameKind) {
+  // An isomorphic SUPERgraph-query entry answers a different question.
+  AdmitEntry(MakePath({0, 1}), 4, {1, 2}, {}, CachedQueryKind::kSupergraph);
+  const HitDiscovery d = MakeDiscovery();
+  QueryMetrics m;
+  EXPECT_FALSE(d.FindExact(MakePath({0, 1}), QueryKind::kSubgraph, cache_,
+                           DynamicBitset(4, true), &m)
+                   .has_value());
+  EXPECT_TRUE(d.FindExact(MakePath({0, 1}), QueryKind::kSupergraph, cache_,
+                          DynamicBitset(4, true), &m)
+                  .has_value());
 }
 
 TEST_F(ProcessorsTest, EmptyProofDetected) {

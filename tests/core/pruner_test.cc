@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
 #include "../test_util.hpp"
 
 namespace gcp {
@@ -136,18 +139,29 @@ TEST(PrunerTest, InvalidBitsNeutralizePruningHit) {
 }
 
 TEST(PrunerTest, ExactHitShortCircuits) {
+  // §6.3 case 1 never reaches the pruner: the digest-keyed twin lookup
+  // answers the query before discovery, with nothing left to verify.
   const DynamicBitset csm = Bits(4, {0, 1, 3});
-  DiscoveredHit exact = MakeHitEntry(4, {1, 2}, {0, 1, 2, 3});
-  DiscoveredHits hits;
-  hits.exact = exact;
+  CacheManager cache(CacheManagerOptions{});
+  ASSERT_TRUE(cache
+                  .Admit(MakePath({0, 1}), CachedQueryKind::kSubgraph,
+                         Bits(4, {1, 2}), Bits(4, {0, 1, 2, 3}), /*now=*/0,
+                         /*est_test_cost_ms=*/1.0)
+                  .ok());
+  const std::unique_ptr<SubgraphMatcher> matcher =
+      MakeMatcher(MatcherKind::kVf2Plus);
+  const GraphCachePlusOptions options;
+  const HitDiscovery discovery(*matcher, options);
   QueryMetrics m;
-  const PruneOutcome out = CandidateSetPruner::Prune(hits, csm, &m);
-  EXPECT_TRUE(out.direct);
+  const std::optional<ExactHit> exact = discovery.FindExact(
+      MakePath({0, 1}), QueryKind::kSubgraph, cache, csm, &m);
+  ASSERT_TRUE(exact.has_value());
   // Answer restricted to live graphs: {1, 2} ∩ {0, 1, 3} = {1}.
-  EXPECT_EQ(out.answer_direct, Bits(4, {1}));
-  EXPECT_TRUE(out.candidates.None());
-  EXPECT_EQ(out.saved_positive, 3u);  // all |CS_M| tests alleviated
-  EXPECT_TRUE(m.exact_hit || m.tests_saved_sub == 3u);
+  EXPECT_EQ(exact->answer, Bits(4, {1}));
+  EXPECT_EQ(exact->tests_saved, 3u);  // all |CS_M| tests alleviated
+  EXPECT_TRUE(m.exact_hit);
+  EXPECT_EQ(m.tests_saved_sub, 3u);
+  EXPECT_EQ(m.candidates_final, 0u);
 }
 
 TEST(PrunerTest, EmptyProofShortCircuits) {

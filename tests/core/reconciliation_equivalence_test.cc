@@ -10,7 +10,10 @@
 //    oracle. The accounting invariant rides along: the two engines
 //    process identical reconcile events, so indexed touched + skipped ==
 //    oracle touched, oracle skipped == 0, and the localized churn makes
-//    indexed skipped strictly positive under CON.
+//    indexed skipped strictly positive under CON. Under CON the churn
+//    also fades resident twins that later repeats refresh in place at
+//    drain time (asserted to happen); the merged bitsets must keep every
+//    relevance footprint a superset and every byte gauge exact.
 //
 // 2. DeltaRevalidationEquivalenceTest — with delta re-validation ON the
 //    relevance screen still replays the oracle bit-exactly (the screen
@@ -28,6 +31,7 @@
 
 #include "core/graphcache_plus.hpp"
 #include "dataset/aids_like.hpp"
+#include "store_invariants.hpp"
 #include "workload/type_a.hpp"
 
 namespace gcp {
@@ -193,10 +197,21 @@ void RunReconcileReplay(CacheModel model, bool epoch, std::size_t shards) {
   EXPECT_EQ(is.total_admissions, os.total_admissions);
   EXPECT_EQ(is.total_evictions, os.total_evictions);
   EXPECT_EQ(is.total_admission_dedups, os.total_admission_dedups);
+  EXPECT_EQ(is.total_admission_refreshes, os.total_admission_refreshes);
   EXPECT_EQ(is.total_exact_hits, os.total_exact_hits);
   EXPECT_EQ(is.total_sub_hits, os.total_sub_hits);
   EXPECT_EQ(is.total_super_hits, os.total_super_hits);
   EXPECT_EQ(is.total_retro_refreshes, os.total_retro_refreshes);
+  testing::ExpectStoreInvariants(*oracle.gc, oracle.cfg.label);
+  testing::ExpectStoreInvariants(*indexed.gc, indexed.cfg.label);
+  if (model == CacheModel::kCon) {
+    // Repeats found their twin faded and refreshed it in place; the
+    // merged bitsets passed the checks above.
+    EXPECT_GT(os.total_admission_refreshes, 0u);
+  } else {
+    // EVI never fades a resident: it purges.
+    EXPECT_EQ(os.total_admission_refreshes, 0u);
+  }
 
   // Reconciliation accounting: the oracle touches every resident entry
   // at every event and never skips; the indexed engine splits the same
@@ -302,8 +317,11 @@ void RunDeltaReplay(bool epoch) {
   EXPECT_EQ(is.total_evictions, os.total_evictions);
   EXPECT_EQ(is.delta_revalidations, os.delta_revalidations);
   EXPECT_EQ(is.delta_fallback_full_checks, os.delta_fallback_full_checks);
+  EXPECT_EQ(is.total_admission_refreshes, os.total_admission_refreshes);
   EXPECT_GT(os.delta_revalidations + os.delta_fallback_full_checks, 0u);
   EXPECT_GT(is.reconcile_entries_skipped, 0u);
+  testing::ExpectStoreInvariants(*delta_oracle.gc, delta_oracle.cfg.label);
+  testing::ExpectStoreInvariants(*delta_indexed.gc, delta_indexed.cfg.label);
 }
 
 TEST(DeltaRevalidationEquivalenceTest, LockPath) { RunDeltaReplay(false); }

@@ -7,8 +7,11 @@
 // The oracle leans on the exactness theorems (3/6): a GC+ answer depends
 // only on the dataset state the read phase observes, never on how the
 // cache is partitioned, which shard a drain has or hasn't reached, or
-// which admissions were dedup-dropped — so identical schedules must give
-// identical answers at every shard count.
+// which admissions were dedup-dropped or refreshed into a faded twin — so
+// identical schedules must give identical answers at every shard count.
+// Under CON the churn fades twins that repeats then refresh in place
+// (asserted to happen in every configuration); the merged bitsets must
+// keep relevance footprints supersets and byte gauges exact.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +20,7 @@
 
 #include "core/graphcache_plus.hpp"
 #include "dataset/aids_like.hpp"
+#include "store_invariants.hpp"
 #include "workload/type_a.hpp"
 
 namespace gcp {
@@ -149,7 +153,14 @@ void RunChurnEquivalence(CacheModel model) {
     }
     // The churn admits far more queries than capacity: replacement must
     // have produced evictions in every configuration.
-    EXPECT_GT(e.gc->CacheStatsSnapshot().total_admissions, 0u) << e.label;
+    const StatisticsManager stats = e.gc->CacheStatsSnapshot();
+    EXPECT_GT(stats.total_admissions, 0u) << e.label;
+    if (model == CacheModel::kCon) {
+      EXPECT_GT(stats.total_admission_refreshes, 0u) << e.label;
+    } else {
+      EXPECT_EQ(stats.total_admission_refreshes, 0u) << e.label;
+    }
+    testing::ExpectStoreInvariants(*e.gc, e.label);
   }
 }
 

@@ -126,6 +126,37 @@ TEST(RunnerTest, ConDominatesEviInTestSavings) {
   EXPECT_LE(con.agg.si_tests, evi.agg.si_tests);
 }
 
+TEST(RunnerTest, PeakResidentBytesIsTheFootprintHighWaterMark) {
+  const Fixture f = Fixture::Make(8, 80);
+  RunnerConfig cfg;
+  cfg.mode = RunMode::kCon;
+  cfg.cache_capacity = 4;
+  cfg.window_capacity = 3;
+  const RunReport off = RunWorkload(f.initial, f.workload, f.plan, cfg);
+  EXPECT_EQ(off.peak_resident_bytes, 0u) << "tracking is opt-in";
+
+  cfg.track_peak_resident_bytes = true;
+  const RunReport on = RunWorkload(f.initial, f.workload, f.plan, cfg);
+  const std::uint64_t end = on.cache_stats.approx_graph_bytes +
+                            on.cache_stats.approx_bitset_bytes;
+  EXPECT_GT(end, 0u);
+  // A 4-entry cache on a churning stream held larger entries mid-run
+  // than it ends with, so the mark is sampled per query, not at the end.
+  EXPECT_GT(on.peak_resident_bytes, end);
+  // Sampling only reads stats: the run itself is unchanged.
+  EXPECT_EQ(on.agg.si_tests, off.agg.si_tests);
+  EXPECT_EQ(on.cache_stats.total_admissions, off.cache_stats.total_admissions);
+
+  // Under a byte budget the serial footprint never exceeds it, at any
+  // query, not just at the end of the run.
+  cfg.cache_capacity = 64;
+  cfg.byte_budget = on.peak_resident_bytes / 2;
+  const RunReport capped = RunWorkload(f.initial, f.workload, f.plan, cfg);
+  EXPECT_GT(capped.cache_stats.byte_budget_evictions, 0u);
+  EXPECT_GT(capped.peak_resident_bytes, 0u);
+  EXPECT_LE(capped.peak_resident_bytes, cfg.byte_budget);
+}
+
 TEST(RunnerTest, LabelsDescribeConfiguration) {
   const Fixture f = Fixture::Make(6, 25);
   RunnerConfig cfg;
