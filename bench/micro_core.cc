@@ -1,7 +1,8 @@
 // A5: google-benchmark micro-benchmarks of the GC+ primitives — bitset
-// algebra, Algorithm 1 (log analysis), Algorithm 2 (validation), hit
-// discovery and the sub-iso kernels. These quantify the "<1% validation
-// overhead" claim at the operation level.
+// algebra, Algorithm 1 (log analysis), Algorithm 2 (validation), the live
+// mask and fragment keys of the hit path, hit discovery and the sub-iso
+// kernels. These quantify the "<1% validation overhead" claim at the
+// operation level.
 
 #include <benchmark/benchmark.h>
 
@@ -13,9 +14,11 @@
 #include "common/bitset.hpp"
 #include "dataset/aids_like.hpp"
 #include "dataset/change_log.hpp"
+#include "dataset/dataset.hpp"
 #include "dataset/log_analyzer.hpp"
 #include "graph/canonical.hpp"
 #include "graph/features.hpp"
+#include "match/fragments.hpp"
 #include "match/matcher.hpp"
 #include "workload/query_gen.hpp"
 
@@ -116,6 +119,53 @@ void BM_WlDigest(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WlDigest)->Arg(20)->Arg(45);
+
+// CS_M of an unindexed query: the dataset's live mask, copied once per
+// query. The mask is maintained by ADD/DEL, so this costs |D|/64 words;
+// a regression to walking the graph slots shows up as a jump between the
+// 5,000- and 40,000-graph rows far beyond that ratio of words.
+void BM_LiveMask(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  std::vector<Graph> graphs(n);
+  for (Graph& g : graphs) g.AddVertex(0);
+  GraphDataset ds;
+  ds.Bootstrap(std::move(graphs));
+  for (std::size_t id = 0; id < n; id += 7) {
+    (void)ds.DeleteGraph(static_cast<GraphId>(id));
+  }
+  for (auto _ : state) {
+    const DynamicBitset csm = ds.LiveMask();
+    benchmark::DoNotOptimize(csm.num_words());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_LiveMask)->Arg(5000)->Arg(40000);
+
+// Query → one-hop fragment keys (cap 8) on AIDS-like BFS queries. Keys
+// are label sequences; building a star graph or a WL digest per fragment
+// here would show up as a several-fold slowdown.
+void BM_DecomposeToFragments(benchmark::State& state) {
+  AidsLikeOptions opts;
+  opts.num_graphs = 64;
+  opts.seed = 13;
+  AidsLikeGenerator gen(opts);
+  const std::vector<Graph> corpus = gen.Generate();
+  Rng rng(14);
+  std::vector<Graph> queries;
+  for (int i = 0; i < 32; ++i) {
+    const Graph& src = corpus[rng.UniformBelow(corpus.size())];
+    queries.push_back(ExtractBfsQuery(
+        src, static_cast<VertexId>(rng.UniformBelow(src.NumVertices())),
+        4 + rng.UniformBelow(13)));
+  }
+  std::size_t qi = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(DecomposeToFragments(queries[qi], 8).size());
+    qi = (qi + 1) % queries.size();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DecomposeToFragments);
 
 // Sub-iso kernels on AIDS-like molecule/query pairs.
 void SubIsoKernel(benchmark::State& state, MatcherKind kind) {

@@ -95,7 +95,7 @@ void EmitRow(JsonWriter* json, const char* system, const char* row,
       buf, sizeof(buf),
       "\"system\": \"%s\", \"row\": \"%s\", \"byte_budget\": %llu, "
       "\"resident_bytes\": %llu, \"peak_resident_bytes\": %llu, "
-      "\"hits\": %llu, \"hit_rate\": %.4f, "
+      "\"hits\": %llu, \"hits_per_query\": %.4f, "
       "\"tests_per_query\": %.3f, \"avg_query_ms\": %.5f, "
       "\"byte_budget_evictions\": %llu, \"evictions\": %llu, "
       "\"admission_offers_shed\": %llu, "

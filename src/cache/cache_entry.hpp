@@ -48,7 +48,8 @@ struct CachedQuery {
   /// Monotone features of `query` (precomputed for hit discovery).
   GraphFeatures features;
 
-  /// WL digest of `query` (exact-match prefilter / dedup key).
+  /// WL digest of `query` (exact-match prefilter / dedup key); for a
+  /// fragment, StarDigest of the star's labels (its store key).
   std::uint64_t digest = 0;
 
   /// Answer(g'): bit i set iff graph i contained `query` when the query

@@ -50,17 +50,19 @@ std::unique_ptr<CachedQuery> CacheManager::PrepareEntry(
     std::shared_ptr<const Graph> query, CachedQueryKind kind,
     DynamicBitset answer, DynamicBitset valid, double est_test_cost_ms) {
   const std::uint64_t digest = WlDigest(*query);
+  GraphFeatures features = GraphFeatures::Extract(*query);
   return PrepareEntry(std::move(query), kind, std::move(answer),
-                      std::move(valid), est_test_cost_ms, digest);
+                      std::move(valid), est_test_cost_ms, digest,
+                      std::move(features));
 }
 
 std::unique_ptr<CachedQuery> CacheManager::PrepareEntry(
     std::shared_ptr<const Graph> query, CachedQueryKind kind,
     DynamicBitset answer, DynamicBitset valid, double est_test_cost_ms,
-    std::uint64_t digest) {
+    std::uint64_t digest, GraphFeatures features) {
   auto entry = std::make_unique<CachedQuery>();
   entry->kind = kind;
-  entry->features = GraphFeatures::Extract(*query);
+  entry->features = std::move(features);
   entry->digest = digest;
   entry->query = std::move(query);  // pointer handoff — the Graph itself
                                     // is neither copied nor moved

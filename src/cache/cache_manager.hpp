@@ -101,12 +101,13 @@ class CacheManager {
       std::shared_ptr<const Graph> query, CachedQueryKind kind,
       DynamicBitset answer, DynamicBitset valid, double est_test_cost_ms);
 
-  /// As above, with the WL digest of `query` already computed by the
-  /// caller.
+  /// As above, with the digest and features of `query` already computed
+  /// by the caller (the read phase has both from the twin lookup and hit
+  /// discovery; fragments pass their label key as the digest).
   static std::unique_ptr<CachedQuery> PrepareEntry(
       std::shared_ptr<const Graph> query, CachedQueryKind kind,
       DynamicBitset answer, DynamicBitset valid, double est_test_cost_ms,
-      std::uint64_t digest);
+      std::uint64_t digest, GraphFeatures features);
 
   /// Window-admits an entry from PrepareEntry; only id assignment,
   /// timestamps and index registration happen here. Never merges.

@@ -6,14 +6,17 @@
 
 #include "cache/cache_validator.hpp"
 #include "common/alloc_fault.hpp"
-#include "graph/canonical.hpp"
+#include "match/fragments.hpp"
 
 namespace gcp {
 
-const CachedQuery* FragmentStore::Probe(std::uint64_t digest,
-                                        const Graph& star) const {
+const CachedQuery* FragmentStore::Probe(
+    std::uint64_t digest, std::span<const Label> labels) const {
   const auto it = by_digest_.find(digest);
-  if (it == by_digest_.end() || !(*it->second->query == star)) return nullptr;
+  if (it == by_digest_.end() ||
+      !std::ranges::equal(it->second->query->labels(), labels)) {
+    return nullptr;
+  }
   return it->second.get();
 }
 
@@ -28,7 +31,7 @@ Status FragmentStore::AdmitOrMerge(std::unique_ptr<CachedQuery> entry,
   const auto it = by_digest_.find(entry->digest);
   if (it != by_digest_.end()) {
     CachedQuery& resident = *it->second;
-    if (!(*resident.query == *entry->query)) {
+    if (resident.query->labels() != entry->query->labels()) {
       ++stats.fragment_digest_collisions;
       return Status::OK();
     }
@@ -131,12 +134,15 @@ std::vector<CachedQuery> FragmentStore::Export() const {
 void FragmentStore::Restore(std::vector<CachedQuery> entries,
                             StatisticsManager& stats) {
   Clear();
-  // Identity is recomputed from the restored graphs — a checkpoint cannot
-  // plant a digest its star does not hash to.
+  // A checkpoint is outside input: keep only canonical stars, and recompute
+  // their keys from the labels, so it cannot plant an alias a probe by
+  // labels would then trust.
+  std::erase_if(entries,
+                [](const CachedQuery& e) { return !IsCanonicalStar(*e.query); });
   for (CachedQuery& e : entries) {
     e.kind = CachedQueryKind::kSubgraph;
     e.features = GraphFeatures::Extract(*e.query);
-    e.digest = WlDigest(*e.query);
+    e.digest = StarDigest(e.query->labels());
     if (e.est_test_cost_ms <= 0.0) {
       e.est_test_cost_ms = StatisticsManager::StructuralCostEstimateMs(*e.query);
     }

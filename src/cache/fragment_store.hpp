@@ -11,9 +11,13 @@
 // candidate sets, so a stale or missing fragment is a lost pruning
 // opportunity, never a wrong answer.
 //
-// Identity is the star's WL digest with a canonical-graph equality check
-// behind the lookup: a digest owned by a *different* star rejects the
-// offer (fragment_digest_collisions) instead of aliasing two fragments.
+// Identity is the star's label key (StarDigest of its canonical label
+// sequence, match/fragments) with a label-sequence comparison behind the
+// lookup: a digest owned by a *different* star rejects the offer
+// (fragment_digest_collisions) instead of aliasing two fragments. Every
+// resident is the canonical star of its labels — admissions build it
+// that way and Restore drops anything else — so equal labels mean equal
+// stars.
 // Offers for an already-resident star merge: valid bits union in and the
 // offer's answer knowledge overwrites the covered range — both sides are
 // forward-validated to the same watermark before merging, so they agree
@@ -29,6 +33,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cache/cache_entry.hpp"
@@ -54,10 +59,12 @@ class FragmentStore {
         byte_budget_(byte_budget),
         pressure_(pressure) {}
 
-  /// Resident entry for `digest` whose canonical star equals `star`;
-  /// nullptr on miss or digest collision. Does not touch recency — reads
-  /// run under the shared lock; recency advances via Credit at drain time.
-  const CachedQuery* Probe(std::uint64_t digest, const Graph& star) const;
+  /// Resident entry for `digest` whose star has the canonical label
+  /// sequence `labels`; nullptr on miss or digest collision. Does not
+  /// touch recency — reads run under the shared lock; recency advances
+  /// via Credit at drain time.
+  const CachedQuery* Probe(std::uint64_t digest,
+                           std::span<const Label> labels) const;
 
   /// Admits a freshly computed fragment entry, or merges it into the
   /// resident twin. The entry must be forward-validated to the store's
@@ -97,8 +104,9 @@ class FragmentStore {
   std::vector<CachedQuery> Export() const;
 
   /// Replaces the contents with `entries` (best tests_saved first when
-  /// over capacity; digests and features are recomputed from the restored
-  /// graphs, so a tampered payload cannot plant a mismatched key).
+  /// over capacity). Entries whose graph is not the canonical star of its
+  /// labels are dropped; keys and features are recomputed from the
+  /// restored graphs, so a tampered payload cannot plant a mismatched key.
   void Restore(std::vector<CachedQuery> entries, StatisticsManager& stats);
 
   /// Graphs + bitsets + relevance postings of everything resident — the

@@ -57,8 +57,9 @@ class ShardedCache {
 
   std::size_t num_shards() const { return shards_.size(); }
 
-  /// Home shard of an entry: fixed by the query's WL digest at admission,
-  /// recomputable from any CachedQuery ever after.
+  /// Home shard of an entry: fixed by its digest (the query's WL digest,
+  /// a fragment's label key) at admission, recomputable from any
+  /// CachedQuery's graph ever after.
   std::size_t ShardOfDigest(std::uint64_t digest) const {
     return shards_.size() == 1
                ? 0

@@ -152,7 +152,7 @@ void GraphCachePlus::SyncWithDatasetLocked(QueryMetrics* metrics) {
       }
       if (options_.retrospective_budget > 0) {
         std::size_t budget = options_.retrospective_budget;
-        const DynamicBitset live = dataset_->LiveMask();
+        const DynamicBitset& live = dataset_->LiveMask();
         for (std::size_t s = 0; s < cache_.num_shards() && budget > 0; ++s) {
           RetrospectiveRefreshShard(s, live, &budget);
         }
@@ -264,13 +264,10 @@ void GraphCachePlus::ApplyMaintenanceLocked(std::size_t s,
     // resident entry would have been.
     return;
   }
-  // Lock path (env.live == nullptr): recompute the live mask from the
-  // dataset per offer, exactly as PR 4 — the bit-exact oracle. Epoch
-  // path: the snapshot's precomputed mask, no dataset access.
-  const DynamicBitset live_storage =
-      env.live == nullptr ? dataset_->LiveMask() : DynamicBitset();
+  // Lock path (env.live == nullptr): the dataset's maintained live mask.
+  // Epoch path: the snapshot's mask, no dataset access.
   const DynamicBitset& live =
-      env.live == nullptr ? live_storage : *env.live;
+      env.live == nullptr ? dataset_->LiveMask() : *env.live;
   // The read phase's twin lookup again, without its validity filter: one
   // entry per isomorphism class, never a second beside the first.
   CachedQuery& entry = *offer.entry;
@@ -709,6 +706,11 @@ Status GraphCachePlus::LoadCache(const std::string& path) {
 
 Status GraphCachePlus::ApplySnapshot(CacheSnapshot snapshot) {
   CacheSnapshot& s = snapshot;
+  // Files carry no keys: derive each one from its graph before routing,
+  // so every restored entry and fragment lands in the home shard its
+  // lookups probe (the per-shard restores re-derive them again).
+  for (CachedQuery& e : s.entries) e.digest = WlDigest(*e.query);
+  for (CachedQuery& e : s.fragments) e.digest = StarDigest(e.query->labels());
   auto validate = [this, &s]() -> Status {
     if (s.watermark > dataset_->log().LatestSeq()) {
       return Status::FailedPrecondition(
@@ -1011,7 +1013,8 @@ void GraphCachePlus::ExecuteReadSlice(
   }
 
   // --- Sub-pattern fragment tier, part 1: decompose the query into its
-  // canonical one-hop stars once. Subgraph queries only — star ⊆ g means
+  // canonical one-hop stars once, as label keys (a star graph is built
+  // only on a miss, in part 2). Subgraph queries only — star ⊆ g means
   // g ⊆ G forces star ⊆ G, so a fragment's valid non-answers exclude
   // candidates; supergraph queries have no such transfer. Gated with
   // admission: a pass-through engine must not learn fragments either.
@@ -1033,8 +1036,11 @@ void GraphCachePlus::ExecuteReadSlice(
   // prescreen it contends with.
   Stopwatch probe_watch;
   DiscoveredHits hits;
+  // Extracted once for discovery and reused by the admission offer (which
+  // a bypassed query never makes).
+  GraphFeatures features;
   if (!bypass_cache) {
-    const GraphFeatures features = GraphFeatures::Extract(g);
+    features = GraphFeatures::Extract(g);
     std::vector<HitDiscovery::Candidate> pool;
     for (std::size_t s = 0; s < cache_.num_shards(); ++s) {
       const auto shard_lock = cache_.LockShared(s);
@@ -1057,7 +1063,7 @@ void GraphCachePlus::ExecuteReadSlice(
       for (std::size_t i = 0; i < fragments.size(); ++i) {
         if (cache_.ShardOfDigest(fragments[i].digest) != s) continue;
         const CachedQuery* e = cache_.shard(s).fragments().Probe(
-            fragments[i].digest, fragments[i].star);
+            fragments[i].digest, fragments[i].labels);
         // A fragment not yet extended to this horizon contributes
         // nothing this query (pruning is optional, never required).
         if (e == nullptr || e->valid.size() != csm.size()) continue;
@@ -1088,9 +1094,11 @@ void GraphCachePlus::ExecuteReadSlice(
     for (std::size_t i = 0; i < fragments.size(); ++i) {
       DynamicBitset computed;
       if (!fragment_resident[i]) {
-        // Miss: verify the star against every CS_M member. Stars are
-        // tiny; the prepared path reuses the vertex order across targets.
-        const auto prepared = internal_matcher_->Prepare(fragments[i].star);
+        // Miss: build the star and verify it against every CS_M member.
+        // Stars are tiny; the prepared path reuses the vertex order across
+        // targets.
+        Graph star = fragments[i].Star();
+        const auto prepared = internal_matcher_->Prepare(star);
         DynamicBitset star_answer(csm.size());
         for (std::size_t id = csm.FindFirst(); id != DynamicBitset::npos;
              id = csm.FindNext(id + 1)) {
@@ -1110,12 +1118,14 @@ void GraphCachePlus::ExecuteReadSlice(
         } else {
           // The fresh knowledge covers exactly the candidates checked:
           // valid = CS_M, stamped with the watermark it was computed at.
+          const double cost = StatisticsManager::StructuralCostEstimateMs(star);
+          GraphFeatures star_features = GraphFeatures::Extract(star);
           AdmissionOffer offer;
           offer.entry = CacheManager::PrepareEntry(
-              std::make_shared<const Graph>(fragments[i].star),
+              std::make_shared<const Graph>(std::move(star)),
               CachedQueryKind::kSubgraph, std::move(star_answer),
-              DynamicBitset(csm),
-              StatisticsManager::StructuralCostEstimateMs(fragments[i].star));
+              DynamicBitset(csm), cost, fragments[i].digest,
+              std::move(star_features));
           offer.observed_watermark = watermark;
           batch_for(cache_.ShardOfDigest(fragments[i].digest))
               .fragment_offers.push_back(std::move(offer));
@@ -1203,7 +1213,7 @@ void GraphCachePlus::ExecuteReadSlice(
                                      : CachedQueryKind::kSupergraph,
         answer_bits, std::move(valid),
         StatisticsManager::StructuralCostEstimateMs(g),
-        lookup_twin ? digest : WlDigest(g));
+        lookup_twin ? digest : WlDigest(g), std::move(features));
     offer.observed_watermark = watermark;
     const std::size_t home = cache_.ShardOfDigest(offer.entry->digest);
     batch_for(home).offer = std::move(offer);

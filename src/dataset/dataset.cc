@@ -11,12 +11,15 @@ void GraphDataset::Bootstrap(std::vector<Graph> graphs) {
     slots_.emplace_back(std::move(g));
   }
   num_live_ = slots_.size();
+  live_ = DynamicBitset(slots_.size(), /*value=*/true);
 }
 
 GraphId GraphDataset::AddGraph(Graph g) {
   const auto id = static_cast<GraphId>(slots_.size());
   CountLabels(g, +1);
   slots_.emplace_back(std::move(g));
+  live_.Resize(slots_.size());
+  live_.Set(id);
   ++num_live_;
   log_.Append(ChangeType::kAdd, id);
   return id;
@@ -26,6 +29,7 @@ Status GraphDataset::DeleteGraph(GraphId id) {
   if (!IsLive(id)) return Status::NotFound("graph id not live");
   CountLabels(*slots_[id], -1);
   slots_[id].reset();
+  live_.Reset(id);
   --num_live_;
   log_.Append(ChangeType::kDelete, id);
   return Status::OK();
@@ -62,20 +66,11 @@ Status GraphDataset::RemoveEdge(GraphId id, VertexId u, VertexId v) {
   return Status::OK();
 }
 
-DynamicBitset GraphDataset::LiveMask() const {
-  DynamicBitset mask(slots_.size());
-  for (std::size_t id = 0; id < slots_.size(); ++id) {
-    if (slots_[id].has_value()) mask.Set(id);
-  }
-  return mask;
-}
-
 std::vector<GraphId> GraphDataset::LiveIds() const {
   std::vector<GraphId> out;
   out.reserve(num_live_);
-  for (std::size_t id = 0; id < slots_.size(); ++id) {
-    if (slots_[id].has_value()) out.push_back(static_cast<GraphId>(id));
-  }
+  live_.ForEachSetBit(
+      [&out](std::size_t id) { out.push_back(static_cast<GraphId>(id)); });
   return out;
 }
 

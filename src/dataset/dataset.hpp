@@ -43,9 +43,7 @@ class GraphDataset {
   Status RemoveEdge(GraphId id, VertexId u, VertexId v);
 
   /// True iff `id` refers to a live (non-deleted) graph.
-  bool IsLive(GraphId id) const {
-    return id < slots_.size() && slots_[id].has_value();
-  }
+  bool IsLive(GraphId id) const { return live_.TestOrFalse(id); }
 
   /// Live graph accessor; `id` must be live.
   const Graph& graph(GraphId id) const { return *slots_[id]; }
@@ -58,9 +56,12 @@ class GraphDataset {
 
   /// Bitset of live ids over [0, IdHorizon()) — the candidate set CS_M of a
   /// query when Method M runs without an index (the whole dataset).
-  DynamicBitset LiveMask() const;
+  /// Maintained by Bootstrap/AddGraph/DeleteGraph, so reading it never
+  /// walks the graph slots. The referenced mask follows later ADD/DEL;
+  /// copy it to keep a point-in-time CS_M.
+  const DynamicBitset& LiveMask() const { return live_; }
 
-  /// Ids of live graphs, ascending.
+  /// Ids of live graphs, ascending (the live mask's set bits).
   std::vector<GraphId> LiveIds() const;
 
   /// The embedded change log.
@@ -80,6 +81,8 @@ class GraphDataset {
   void CountLabels(const Graph& g, std::int64_t sign);
 
   std::vector<std::optional<Graph>> slots_;
+  /// Bit i set iff slots_[i] holds a graph; sized to slots_.
+  DynamicBitset live_;
   std::size_t num_live_ = 0;
   ChangeLog log_;
   std::map<Label, std::int64_t> label_freq_;

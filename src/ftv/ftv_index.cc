@@ -58,20 +58,8 @@ std::size_t FtvIndex::SyncWithDataset() {
 
 DynamicBitset FtvIndex::CandidateSet(const GraphFeatures& query_features,
                                      FtvQueryDirection direction) const {
-  DynamicBitset candidates(dataset_->IdHorizon());
-  const SummaryVec& summaries = *summaries_;
-  const std::size_t limit = std::min(summaries.size(), dataset_->IdHorizon());
-  for (std::size_t id = 0; id < limit; ++id) {
-    const auto& summary = summaries[id];
-    if (!summary.has_value() || !dataset_->IsLive(static_cast<GraphId>(id))) {
-      continue;
-    }
-    const bool pass = direction == FtvQueryDirection::kSubgraph
-                          ? query_features.CouldBeSubgraphOf(*summary)
-                          : summary->CouldBeSubgraphOf(query_features);
-    if (pass) candidates.Set(id);
-  }
-  return candidates;
+  return CandidateSetOver(*summaries_, dataset_->LiveMask(), query_features,
+                          direction);
 }
 
 DynamicBitset FtvIndex::CandidateSetOver(

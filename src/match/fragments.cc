@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "graph/canonical.hpp"
+#include "common/hash.hpp"
 
 namespace gcp {
 
@@ -31,46 +31,63 @@ Graph MakeStarGraph(Label center, std::vector<Label> leaves) {
   return std::move(g).value();
 }
 
+namespace {
+
+/// MakeStarGraph over a label sequence (center first).
+Graph StarOf(std::span<const Label> labels) {
+  return MakeStarGraph(labels.front(), {labels.begin() + 1, labels.end()});
+}
+
+}  // namespace
+
+Graph Fragment::Star() const { return StarOf(labels); }
+
+std::uint64_t StarDigest(std::span<const Label> labels) {
+  std::uint64_t digest = 0x7a5f3c1e9b2d4867ULL;
+  HashCombine(digest, labels.size());
+  for (const Label label : labels) HashCombine(digest, label);
+  return digest;
+}
+
+bool IsCanonicalStar(const Graph& g) {
+  return g.NumVertices() >= 2 && g == StarOf(g.labels());
+}
+
 std::vector<Fragment> DecomposeToFragments(const Graph& g,
                                            std::size_t max_fragments) {
-  // Candidate key per vertex: (center label, sorted leaf labels).
-  using Key = std::pair<Label, std::vector<Label>>;
-  std::vector<Key> keys;
-  keys.reserve(g.NumVertices());
+  // Canonical label sequence per vertex: center, then sorted leaves.
+  std::vector<Fragment> out;
+  out.reserve(g.NumVertices());
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     if (g.degree(v) == 0) continue;
-    std::vector<Label> leaves;
-    leaves.reserve(g.degree(v));
-    for (const VertexId u : g.neighbors(v)) leaves.push_back(g.label(u));
-    std::sort(leaves.begin(), leaves.end());
-    Label center = g.label(v);
-    // Mirror MakeStarGraph's single-edge normalization in the key itself,
-    // so the two endpoint readings of one edge dedup to one fragment.
-    if (leaves.size() == 1 && leaves[0] < center) {
-      std::swap(center, leaves[0]);
-    }
-    keys.emplace_back(center, std::move(leaves));
-  }
-  // Most selective first; the tie chain makes the cap's selection (and the
-  // resulting fragment list) invariant under input permutation.
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    if (a.second.size() != b.second.size()) {
-      return a.second.size() > b.second.size();
-    }
-    if (a.first != b.first) return a.first < b.first;
-    return a.second < b.second;
-  });
-  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  if (keys.size() > max_fragments) keys.resize(max_fragments);
-
-  std::vector<Fragment> out;
-  out.reserve(keys.size());
-  for (Key& key : keys) {
     Fragment f;
-    f.star = MakeStarGraph(key.first, std::move(key.second));
-    f.digest = WlDigest(f.star);
+    f.labels.reserve(g.degree(v) + 1);
+    f.labels.push_back(g.label(v));
+    for (const VertexId u : g.neighbors(v)) f.labels.push_back(g.label(u));
+    std::sort(f.labels.begin() + 1, f.labels.end());
+    // Mirror MakeStarGraph's single-edge normalization, so the two
+    // endpoint readings of one edge dedup to one fragment.
+    if (f.labels.size() == 2 && f.labels[1] < f.labels[0]) {
+      std::swap(f.labels[0], f.labels[1]);
+    }
     out.push_back(std::move(f));
   }
+  // Most selective first (more leaves, then center label, then leaf
+  // labels); the tie chain makes the cap's selection (and the resulting
+  // fragment list) invariant under input permutation.
+  std::sort(out.begin(), out.end(), [](const Fragment& a, const Fragment& b) {
+    if (a.labels.size() != b.labels.size()) {
+      return a.labels.size() > b.labels.size();
+    }
+    return a.labels < b.labels;
+  });
+  out.erase(std::unique(out.begin(), out.end(),
+                        [](const Fragment& a, const Fragment& b) {
+                          return a.labels == b.labels;
+                        }),
+            out.end());
+  if (out.size() > max_fragments) out.resize(max_fragments);
+  for (Fragment& f : out) f.digest = StarDigest(f.labels);
   return out;
 }
 

@@ -7,13 +7,17 @@
 // (center label, sorted leaf-label multiset) — with single-edge stars
 // normalized to center = min endpoint label, the one shape whose center
 // is not structurally distinguished — is a *complete* isomorphism
-// invariant for stars: two stars are isomorphic iff their keys are equal,
-// and the canonical star graph built from a key (vertex 0 = center,
-// vertices 1..k = leaves in sorted label order, edges (0, i)) is
-// bit-identical across all isomorphic inputs. Fragment identity in the
-// cache is the WL digest of that canonical graph — the same digest
-// whole queries use — with a canonical-graph equality check behind it so
-// a true digest collision can never alias two distinct fragments.
+// invariant for stars: two stars are isomorphic iff their keys are equal.
+// A fragment is therefore just its canonical label sequence (center, then
+// leaves ascending), and its cache key is StarDigest of that sequence: no
+// graph is built and no WL digest computed to decompose a query. The
+// store compares label sequences behind the key, so a digest collision
+// can never alias two distinct fragments. The canonical star graph
+// (vertex 0 = center, vertices 1..k = leaves in label order, edges (0, i))
+// is built only when a miss must be matched and offered; its vertex labels
+// are exactly the label sequence. A restored checkpoint is outside input,
+// so restore keeps only stars that are canonical for their own labels
+// (IsCanonicalStar) and re-derives their keys.
 //
 // Soundness of fragment pruning: the matcher semantics are non-induced,
 // label-preserving and injective, so the star of any query vertex embeds
@@ -26,6 +30,7 @@
 #define GCP_MATCH_FRAGMENTS_HPP_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -34,8 +39,13 @@ namespace gcp {
 
 /// One canonical one-hop sub-pattern of a query.
 struct Fragment {
-  Graph star;                 ///< Canonical star graph (center = vertex 0).
-  std::uint64_t digest = 0;   ///< WlDigest(star) — the cache key.
+  /// Center label, then the leaf labels ascending (single-edge stars:
+  /// the smaller endpoint label first) — the vertex labels of Star().
+  std::vector<Label> labels;
+  std::uint64_t digest = 0;  ///< StarDigest(labels) — the cache key.
+
+  /// The canonical star graph of `labels`.
+  Graph Star() const;
 };
 
 /// Builds the canonical star graph for (center, leaves): vertex 0 carries
@@ -43,6 +53,13 @@ struct Fragment {
 /// leaf connects to the center. Single-edge stars normalize the center to
 /// the smaller endpoint label. Isomorphic stars produce equal graphs.
 Graph MakeStarGraph(Label center, std::vector<Label> leaves);
+
+/// Cache key of the fragment with canonical label sequence `labels`.
+std::uint64_t StarDigest(std::span<const Label> labels);
+
+/// True iff `g` is the canonical star of its own vertex labels, i.e.
+/// MakeStarGraph(labels[0], labels[1..]) == g.
+bool IsCanonicalStar(const Graph& g);
 
 /// Decomposes `g` into its distinct one-hop fragments: one candidate star
 /// per vertex of degree >= 1, deduplicated by canonical key, ordered most

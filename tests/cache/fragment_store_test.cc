@@ -8,9 +8,9 @@
 #include <memory>
 #include <vector>
 
+#include "../test_util.hpp"
 #include "cache/cache_manager.hpp"
 #include "dataset/log_analyzer.hpp"
-#include "graph/canonical.hpp"
 #include "match/fragments.hpp"
 
 namespace gcp {
@@ -27,9 +27,13 @@ std::unique_ptr<CachedQuery> MakeFragEntry(
   DynamicBitset valid(horizon);
   for (const std::size_t i : answer_ids) answer.Set(i);
   for (const std::size_t i : valid_ids) valid.Set(i);
+  // Keyed by the star's labels, as the engine's fragment offers are.
+  const std::uint64_t digest = StarDigest(star.labels());
+  GraphFeatures features = GraphFeatures::Extract(star);
   return CacheManager::PrepareEntry(
       std::make_shared<const Graph>(std::move(star)),
-      CachedQueryKind::kSubgraph, std::move(answer), std::move(valid), 1.0);
+      CachedQueryKind::kSubgraph, std::move(answer), std::move(valid), 1.0,
+      digest, std::move(features));
 }
 
 TEST(FragmentStoreTest, ProbeFindsAdmittedStarAndRejectsMismatch) {
@@ -37,19 +41,20 @@ TEST(FragmentStoreTest, ProbeFindsAdmittedStarAndRejectsMismatch) {
   StatisticsManager stats;
   auto entry = MakeFragEntry(1, {2, 3}, {0, 2}, {0, 1, 2});
   const std::uint64_t digest = entry->digest;
-  const Graph star = *entry->query;
+  const std::vector<Label> labels = entry->query->labels();
+  EXPECT_EQ(digest, StarDigest(std::vector<Label>{1, 2, 3}));
   store.AdmitOrMerge(std::move(entry), /*now=*/1, stats);
   EXPECT_EQ(stats.fragment_admissions, 1u);
   EXPECT_EQ(store.size(), 1u);
 
-  const CachedQuery* hit = store.Probe(digest, star);
+  const CachedQuery* hit = store.Probe(digest, labels);
   ASSERT_NE(hit, nullptr);
   EXPECT_TRUE(hit->answer.Test(0));
   EXPECT_FALSE(hit->answer.Test(1));
-  EXPECT_EQ(store.Probe(digest + 1, star), nullptr);
-  // Same digest, different star: the equality check refuses the alias.
-  const Graph other = MakeStarGraph(9, {9});
-  EXPECT_EQ(store.Probe(digest, other), nullptr);
+  EXPECT_EQ(store.Probe(digest + 1, labels), nullptr);
+  // Same digest, different star: the label comparison refuses the alias.
+  EXPECT_EQ(store.Probe(digest, std::vector<Label>{9, 9}), nullptr);
+  EXPECT_EQ(store.Probe(digest, std::vector<Label>{1, 3, 2}), nullptr);
 }
 
 TEST(FragmentStoreTest, MergeUnionsValidAndOverwritesCoveredAnswers) {
@@ -60,13 +65,13 @@ TEST(FragmentStoreTest, MergeUnionsValidAndOverwritesCoveredAnswers) {
   store.AdmitOrMerge(MakeFragEntry(1, {2}, {0}, {0, 1}), 1, stats);
   auto offer = MakeFragEntry(1, {2}, {3}, {1, 2, 3});
   const std::uint64_t digest = offer->digest;
-  const Graph star = *offer->query;
+  const std::vector<Label> labels = offer->query->labels();
   store.AdmitOrMerge(std::move(offer), 2, stats);
   EXPECT_EQ(stats.fragment_admissions, 1u);
   EXPECT_EQ(stats.fragment_merges, 1u);
   EXPECT_EQ(store.size(), 1u);
 
-  const CachedQuery* e = store.Probe(digest, star);
+  const CachedQuery* e = store.Probe(digest, labels);
   ASSERT_NE(e, nullptr);
   for (const std::size_t i : {0, 1, 2, 3}) EXPECT_TRUE(e->valid.Test(i));
   EXPECT_FALSE(e->valid.Test(4));
@@ -81,15 +86,15 @@ TEST(FragmentStoreTest, TrueDigestCollisionDropsOffer) {
   StatisticsManager stats;
   auto first = MakeFragEntry(1, {2}, {0}, {0});
   const std::uint64_t digest = first->digest;
-  const Graph star = *first->query;
+  const std::vector<Label> labels = first->query->labels();
   store.AdmitOrMerge(std::move(first), 1, stats);
-  // Forge a WL collision: a different star claiming the same digest.
+  // Forge a key collision: a different star claiming the same digest.
   auto alias = MakeFragEntry(7, {8, 8}, {1}, {1});
   alias->digest = digest;
   store.AdmitOrMerge(std::move(alias), 2, stats);
   EXPECT_EQ(stats.fragment_digest_collisions, 1u);
   EXPECT_EQ(store.size(), 1u);
-  const CachedQuery* e = store.Probe(digest, star);
+  const CachedQuery* e = store.Probe(digest, labels);
   ASSERT_NE(e, nullptr);
   EXPECT_TRUE(e->answer.Test(0));  // the resident survived untouched
   EXPECT_FALSE(e->valid.Test(1));
@@ -103,8 +108,8 @@ TEST(FragmentStoreTest, CreditBumpsRecencyAndEvictionPicksColdest) {
   auto c = MakeFragEntry(5, {6}, {0}, {0});
   const std::uint64_t da = a->digest;
   const std::uint64_t db = b->digest;
-  const Graph sa = *a->query;
-  const Graph sb = *b->query;
+  const std::vector<Label> la = a->query->labels();
+  const std::vector<Label> lb = b->query->labels();
   store.AdmitOrMerge(std::move(a), 1, stats);
   store.AdmitOrMerge(std::move(b), 2, stats);
   // Credit makes `a` the warmer entry despite earlier admission.
@@ -118,8 +123,8 @@ TEST(FragmentStoreTest, CreditBumpsRecencyAndEvictionPicksColdest) {
   store.AdmitOrMerge(std::move(c), 12, stats);
   EXPECT_EQ(stats.fragment_evictions, 1u);
   EXPECT_EQ(store.size(), 2u);
-  EXPECT_NE(store.Probe(da, sa), nullptr);  // credited: kept
-  EXPECT_EQ(store.Probe(db, sb), nullptr);  // coldest: evicted
+  EXPECT_NE(store.Probe(da, la), nullptr);  // credited: kept
+  EXPECT_EQ(store.Probe(db, lb), nullptr);  // coldest: evicted
 }
 
 TEST(FragmentStoreTest, ValidateRelevantMatchesValidateAll) {
@@ -203,8 +208,9 @@ TEST(FragmentStoreTest, ExportRestoreRoundTripsAndRecomputesKeys) {
   EXPECT_LT(exported[0].digest, exported[1].digest);
   std::vector<std::pair<DynamicBitset, DynamicBitset>> want;
   for (const CachedQuery& e : exported) want.emplace_back(e.answer, e.valid);
-  // Tamper with a stored key: Restore must recompute it from the graph.
+  // Tamper with a stored key: Restore must recompute it from the labels.
   const std::uint64_t true_digest = exported[0].digest;
+  EXPECT_EQ(true_digest, StarDigest(exported[0].query->labels()));
   exported[0].digest = 0x1234;
 
   FragmentStore fresh(8, true);
@@ -216,7 +222,8 @@ TEST(FragmentStoreTest, ExportRestoreRoundTripsAndRecomputesKeys) {
   std::size_t idx = 0;
   bool found = false;
   fresh.ForEach([&](const CachedQuery& e) {
-    EXPECT_EQ(WlDigest(*e.query), e.digest);  // tampering did not stick
+    // Tampering did not stick.
+    EXPECT_EQ(StarDigest(e.query->labels()), e.digest);
     ASSERT_LT(idx, want.size());
     EXPECT_TRUE(e.answer == want[idx].first);
     EXPECT_TRUE(e.valid == want[idx].second);
@@ -244,8 +251,36 @@ TEST(FragmentStoreTest, RestoreKeepsBestWhenOverCapacity) {
   small.Restore(std::move(exported), small_stats);
   EXPECT_EQ(small.size(), 1u);
   bool kept_best = false;
-  small.ForEach([&](const CachedQuery& e) { kept_best = e.digest == db; });
+  small.ForEach([&](const CachedQuery& e) {
+    kept_best =
+        e.digest == db && e.digest == StarDigest(std::vector<Label>{3, 4});
+  });
   EXPECT_TRUE(kept_best);
+}
+
+TEST(FragmentStoreTest, RestoreDropsNonCanonicalStar) {
+  FragmentStore store(8, true);
+  StatisticsManager stats;
+  store.AdmitOrMerge(MakeFragEntry(1, {2}, {0}, {0, 1}), 1, stats);
+  std::vector<CachedQuery> exported = store.Export();
+  ASSERT_EQ(exported.size(), 1u);
+  // A checkpoint carrying a 3-vertex path labelled like the 2-leaf star
+  // (2; 0, 1): same label sequence, different graph.
+  const std::vector<Label> star_labels = {2, 0, 1};
+  CachedQuery path = exported[0];
+  path.query = std::make_shared<const Graph>(
+      gcp::testing::MakeGraph(star_labels, {{0, 1}, {1, 2}}));
+  path.digest = StarDigest(star_labels);
+  exported.push_back(std::move(path));
+
+  FragmentStore fresh(8, true);
+  StatisticsManager fresh_stats;
+  fresh.Restore(std::move(exported), fresh_stats);
+  EXPECT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(fresh_stats.restored_fragments, 1u);
+  EXPECT_EQ(fresh.Probe(StarDigest(star_labels), star_labels), nullptr);
+  const std::vector<Label> kept = {1, 2};
+  EXPECT_NE(fresh.Probe(StarDigest(kept), kept), nullptr);
 }
 
 }  // namespace

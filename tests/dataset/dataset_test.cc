@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.hpp"
+#include "common/rng.hpp"
 
 namespace gcp {
 namespace {
@@ -89,6 +90,91 @@ TEST(DatasetTest, LiveMaskTracksHoles) {
   EXPECT_FALSE(mask.Test(2));
   EXPECT_TRUE(mask.Test(3));
   EXPECT_EQ(ds.LiveIds(), (std::vector<GraphId>{0, 1, 3}));
+}
+
+/// Test-side mirror of the dataset's graph slots: the live mask, IsLive
+/// and LiveIds must always agree with a walk over it.
+class SlotMirror {
+ public:
+  void Bootstrap(std::size_t n) { slots_.assign(n, true); }
+  void Add() { slots_.push_back(true); }
+  void Delete(GraphId id) { slots_[id] = false; }
+
+  DynamicBitset LiveMaskByWalk() const {
+    DynamicBitset mask(slots_.size());
+    for (std::size_t id = 0; id < slots_.size(); ++id) {
+      if (slots_[id]) mask.Set(id);
+    }
+    return mask;
+  }
+
+  std::vector<GraphId> LiveIdsByWalk() const {
+    std::vector<GraphId> out;
+    for (std::size_t id = 0; id < slots_.size(); ++id) {
+      if (slots_[id]) out.push_back(static_cast<GraphId>(id));
+    }
+    return out;
+  }
+
+ private:
+  std::vector<bool> slots_;
+};
+
+void ExpectMatchesWalk(const GraphDataset& ds, const SlotMirror& mirror) {
+  const DynamicBitset want = mirror.LiveMaskByWalk();
+  ASSERT_EQ(ds.IdHorizon(), want.size());
+  EXPECT_TRUE(ds.LiveMask() == want);
+  EXPECT_EQ(ds.NumLive(), want.Count());
+  for (std::size_t id = 0; id <= ds.IdHorizon(); ++id) {
+    EXPECT_EQ(ds.IsLive(static_cast<GraphId>(id)), want.TestOrFalse(id))
+        << "id " << id;
+  }
+  EXPECT_EQ(ds.LiveIds(), mirror.LiveIdsByWalk());
+}
+
+TEST(DatasetTest, MaintainedLiveMaskMatchesSlotWalk) {
+  GraphDataset ds;
+  SlotMirror mirror;
+  ExpectMatchesWalk(ds, mirror);
+  // 70 bootstrapped graphs straddle the first 64-bit word boundary.
+  std::vector<Graph> graphs;
+  for (Label i = 0; i < 70; ++i) graphs.push_back(MakePath({i, 0, 1}));
+  ds.Bootstrap(std::move(graphs));
+  mirror.Bootstrap(70);
+  ExpectMatchesWalk(ds, mirror);
+  // The first and the last id.
+  ASSERT_TRUE(ds.DeleteGraph(0).ok());
+  mirror.Delete(0);
+  ExpectMatchesWalk(ds, mirror);
+  ASSERT_TRUE(ds.DeleteGraph(69).ok());
+  mirror.Delete(69);
+  ExpectMatchesWalk(ds, mirror);
+  // A failed delete changes nothing.
+  EXPECT_FALSE(ds.DeleteGraph(69).ok());
+  EXPECT_FALSE(ds.DeleteGraph(70).ok());
+  ExpectMatchesWalk(ds, mirror);
+  // Seeded churn: adds carry the horizon across 128 and 192 while deletes
+  // keep punching holes, including at freshly added ids.
+  Rng rng(17);
+  while (ds.IdHorizon() < 200) {
+    if (rng.UniformBelow(3) == 0 && ds.NumLive() > 0) {
+      const std::vector<GraphId> live = ds.LiveIds();
+      const GraphId id = live[rng.UniformBelow(live.size())];
+      ASSERT_TRUE(ds.DeleteGraph(id).ok());
+      mirror.Delete(id);
+    } else {
+      const GraphId id = ds.AddGraph(MakeCycle({1, 2, 3}));
+      EXPECT_EQ(id, ds.IdHorizon() - 1);
+      mirror.Add();
+    }
+    ExpectMatchesWalk(ds, mirror);
+  }
+  // Deleting the current last id right after it was added.
+  const GraphId last = ds.AddGraph(MakePath({4, 5}));
+  mirror.Add();
+  ASSERT_TRUE(ds.DeleteGraph(last).ok());
+  mirror.Delete(last);
+  ExpectMatchesWalk(ds, mirror);
 }
 
 TEST(DatasetTest, TotalsOverLiveOnly) {

@@ -1,12 +1,13 @@
 // Fragment canonicalization — the identity the fragment cache hangs off.
 //
-// The store keys fragments by WlDigest(canonical star) with a graph
-// equality check behind the lookup, so correctness needs exactly two
-// properties: (a) isomorphic stars canonicalize to bit-identical graphs
-// (digest stability — a hit is found no matter how the query was laid
-// out), and (b) non-isomorphic small stars never share both digest and
-// canonical graph (collision sanity — checked exhaustively against a
-// brute-force isomorphism oracle on the small-star universe).
+// The store keys fragments by StarDigest(canonical label sequence) with a
+// label-sequence comparison behind the lookup, so correctness needs
+// exactly two properties: (a) isomorphic stars canonicalize to identical
+// label sequences and bit-identical star graphs (key stability — a hit is
+// found no matter how the query was laid out), and (b) non-isomorphic
+// small stars never share both key and label sequence (collision sanity —
+// checked exhaustively against a brute-force isomorphism oracle on the
+// small-star universe).
 
 #include "match/fragments.hpp"
 
@@ -85,10 +86,10 @@ TEST(FragmentCanonicalTest, DigestsStableUnderVertexPermutation) {
       const std::vector<Fragment> got = DecomposeToFragments(p, 8);
       ASSERT_EQ(base.size(), got.size());
       for (std::size_t i = 0; i < base.size(); ++i) {
-        // Same digests in the same order: the cap's selection and the
-        // cache keys cannot depend on input layout.
+        // Same keys in the same order: the cap's selection and the cache
+        // keys cannot depend on input layout.
+        EXPECT_EQ(base[i].labels, got[i].labels);
         EXPECT_EQ(base[i].digest, got[i].digest);
-        EXPECT_TRUE(SameGraph(base[i].star, got[i].star));
       }
     }
   }
@@ -125,7 +126,13 @@ TEST(FragmentCanonicalTest, ExhaustiveSmallStarsMatchIsomorphismOracle) {
         std::swap(s.center, s.leaves[0]);
       }
       s.canonical = MakeStarGraph(center, leaves);  // pre-normalized input
-      s.digest = WlDigest(s.canonical);
+      s.digest = StarDigest(s.canonical.labels());
+      // The canonical graph's labels are the fragment's label sequence,
+      // and it is the one graph restore accepts for them.
+      std::vector<Label> sequence = {s.center};
+      sequence.insert(sequence.end(), s.leaves.begin(), s.leaves.end());
+      EXPECT_EQ(s.canonical.labels(), sequence);
+      EXPECT_TRUE(IsCanonicalStar(s.canonical));
       universe.push_back(std::move(s));
     }
   }
@@ -146,10 +153,10 @@ TEST(FragmentCanonicalTest, ExhaustiveSmallStarsMatchIsomorphismOracle) {
         EXPECT_TRUE(SameGraph(a.canonical, b.canonical));
       } else {
         // Distinct fragments must be distinguishable by the store's
-        // lookup: digest differs, or (a true WL collision) the canonical
-        // graphs differ and the equality check rejects the alias.
+        // lookup: key differs, or (a true key collision) the label
+        // sequences differ and the comparison rejects the alias.
         EXPECT_TRUE(a.digest != b.digest ||
-                    !SameGraph(a.canonical, b.canonical));
+                    a.canonical.labels() != b.canonical.labels());
       }
     }
   }
@@ -162,10 +169,10 @@ TEST(FragmentCanonicalTest, DecompositionDedupsOrdersAndCaps) {
       DecomposeToFragments(MakePath({1, 2, 1}), 8);
   ASSERT_EQ(frags.size(), 2u);
   // Largest star first (2 leaves before 1).
-  EXPECT_EQ(frags[0].star.NumVertices(), 3u);
-  EXPECT_EQ(frags[1].star.NumVertices(), 2u);
-  EXPECT_EQ(frags[0].star.label(0), 2u);
-  EXPECT_EQ(frags[1].star.label(0), 1u);
+  EXPECT_EQ(frags[0].Star().NumVertices(), 3u);
+  EXPECT_EQ(frags[1].Star().NumVertices(), 2u);
+  EXPECT_EQ(frags[0].Star().label(0), 2u);
+  EXPECT_EQ(frags[1].Star().label(0), 1u);
 
   // The cap keeps the most selective (largest) stars.
   const Graph g = MakeGraph({0, 1, 2, 3, 4},
@@ -177,7 +184,7 @@ TEST(FragmentCanonicalTest, DecompositionDedupsOrdersAndCaps) {
   for (std::size_t i = 0; i < capped.size(); ++i) {
     EXPECT_EQ(capped[i].digest, all[i].digest);
   }
-  EXPECT_EQ(capped[0].star.NumVertices(), 5u);  // the degree-4 center
+  EXPECT_EQ(capped[0].Star().NumVertices(), 5u);  // the degree-4 center
 }
 
 TEST(FragmentCanonicalTest, EdgelessAndIsolatedVertices) {
@@ -215,9 +222,45 @@ TEST(FragmentCanonicalTest, EveryFragmentEmbedsInItsQuery) {
   };
   for (const Graph& g : graphs) {
     for (const Fragment& f : DecomposeToFragments(g, 16)) {
-      EXPECT_TRUE(matcher->Contains(f.star, g));
+      EXPECT_TRUE(matcher->Contains(f.Star(), g));
     }
   }
+}
+
+TEST(FragmentCanonicalTest, LabelKeyDescribesTheStarItBuilds) {
+  // Decomposition builds no graph; the label sequence it keys by must be
+  // exactly the star a miss later builds, matches and offers.
+  const Graph graphs[] = {
+      MakePath({3, 1, 2, 1, 0}),
+      MakeStar({4, 2, 0, 2, 1}),
+      MakeGraph({0, 1, 2, 0, 1},
+                {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {0, 2}}),
+  };
+  for (const Graph& g : graphs) {
+    for (const Fragment& f : DecomposeToFragments(g, 16)) {
+      const Graph star = f.Star();
+      EXPECT_EQ(star.labels(), f.labels);
+      EXPECT_EQ(f.digest, StarDigest(star.labels()));
+      EXPECT_TRUE(IsCanonicalStar(star));
+    }
+  }
+}
+
+TEST(FragmentCanonicalTest, IsCanonicalStarRejectsOtherLayouts) {
+  EXPECT_TRUE(IsCanonicalStar(MakeStarGraph(2, {0, 1})));
+  EXPECT_TRUE(IsCanonicalStar(MakeStarGraph(1, {0})));
+  // A 3-vertex path labelled like the 2-leaf star (2; 0, 1).
+  EXPECT_FALSE(IsCanonicalStar(MakeGraph({2, 0, 1}, {{0, 1}, {1, 2}})));
+  // Leaves out of label order.
+  EXPECT_FALSE(IsCanonicalStar(MakeGraph({2, 1, 0}, {{0, 1}, {0, 2}})));
+  // A single edge read from its larger endpoint.
+  EXPECT_FALSE(IsCanonicalStar(MakeGraph({1, 0}, {{0, 1}})));
+  // No leaf, or an extra edge between leaves.
+  Graph lone;
+  lone.AddVertex(3);
+  EXPECT_FALSE(IsCanonicalStar(lone));
+  EXPECT_FALSE(
+      IsCanonicalStar(MakeGraph({2, 0, 1}, {{0, 1}, {0, 2}, {1, 2}})));
 }
 
 }  // namespace
