@@ -63,8 +63,6 @@ struct BenchConfig {
   std::size_t shards = 1;
   /// Dedicated maintenance drain thread (--maintenance-thread).
   bool maintenance_thread = false;
-  /// Epoch-protected read path (--epoch; off = the PR 4 lock path).
-  bool epoch = false;
   /// Run the legacy hot path (per-pair match state + brute-force
   /// discovery scan) instead of the optimized one (--legacy).
   bool legacy_hot_path = false;
@@ -159,7 +157,6 @@ struct BenchConfig {
     c.shards = static_cast<std::size_t>(flags.GetInt("shards", c.shards));
     c.maintenance_thread =
         flags.GetBool("maintenance-thread", c.maintenance_thread);
-    c.epoch = flags.GetBool("epoch", c.epoch);
     c.legacy_hot_path = flags.GetBool("legacy", c.legacy_hot_path);
     c.copy_survivors = flags.GetBool("copy-survivors", c.copy_survivors);
     c.relevance_index = flags.GetBool("relevance-index", c.relevance_index);
@@ -250,7 +247,6 @@ inline RunnerConfig MakeRunnerConfig(RunMode mode, MatcherKind method,
   rc.client_threads = cfg.client_threads;
   rc.shards = cfg.shards;
   rc.maintenance_thread = cfg.maintenance_thread;
-  rc.epoch_reads = cfg.epoch;
   rc.max_sub_hits = cfg.max_sub_hits;
   rc.max_super_hits = cfg.max_super_hits;
   rc.legacy_hot_path = cfg.legacy_hot_path;
@@ -272,7 +268,7 @@ inline RunnerConfig MakeRunnerConfig(RunMode mode, MatcherKind method,
 /// --delta-revalidation, --fragments, --copy-survivors) — onto
 /// GraphCachePlusOptions, so a new flag lands once instead of once per
 /// bench. Callers override the handful of fields their experiment pins
-/// (model, epoch_reads, checkpoint knobs, ...) after the call.
+/// (model, checkpoint knobs, ...) after the call.
 inline GraphCachePlusOptions MakeEngineOptions(CacheModel model,
                                                const BenchConfig& cfg) {
   GraphCachePlusOptions opts;
@@ -282,7 +278,6 @@ inline GraphCachePlusOptions MakeEngineOptions(CacheModel model,
   opts.verify_threads = cfg.verify_threads;
   opts.num_shards = std::max<std::size_t>(1, cfg.shards);
   opts.maintenance_thread = cfg.maintenance_thread;
-  opts.epoch_reads = cfg.epoch;
   opts.copy_discovery_survivors = cfg.copy_survivors;
   opts.max_sub_hits = cfg.max_sub_hits;
   opts.max_super_hits = cfg.max_super_hits;

@@ -5,7 +5,7 @@
 // bitsets) under the shard lock, matcher scratch comes off the plain
 // heap, and every bitset/signature kernel runs the scalar loop. "After"
 // is the shipped configuration: survivors share ownership of the
-// resident graph (shared_ptr + epoch grace periods), per-thread arenas
+// resident graph (shared_ptr ownership), per-thread arenas
 // back the matcher scratch, and the kernels dispatch to the widest SIMD
 // level the CPU offers. Both sides run the same workloads over the same
 // evolving dataset in the same process, so the delta is the copy costs
@@ -89,10 +89,8 @@ int main(int argc, char** argv) {
       mode_cfg.copy_survivors = mode.copy_survivors;
       for (const RunMode sys : {RunMode::kEvi, RunMode::kCon}) {
         RunnerConfig rc = MakeRunnerConfig(sys, method, mode_cfg);
-        // The counters the tentpole moves are epoch-engine counters; run
-        // both sides on the epoch read path with the FTV index equipped
-        // so summary-clone accounting is live.
-        rc.epoch_reads = true;
+        // Equip the FTV index on both sides so summary-clone accounting
+        // is live.
         rc.use_ftv = true;
         const RunReport r = RunWorkload(corpus, w, plan, rc);
         const auto sum_cp = r.cache_stats.snapshot_summary_copies;

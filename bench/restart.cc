@@ -17,8 +17,7 @@
 //   - cold or warm answers diverge from the uncached Method M oracle on
 //     the same dataset state (restores must never change answers);
 //   - the warm phase did not actually restore a checkpoint, restored no
-//     entries, or recovered a lower overall hit rate than cold;
-//   - any epoch-mode phase took an engine lock on the read path.
+//     entries, or recovered a lower overall hit rate than cold.
 
 #include <chrono>
 #include <cstdio>
@@ -46,7 +45,6 @@ GraphCachePlusOptions EngineOptions(const BenchConfig& cfg,
                                     const std::string& dir,
                                     std::size_t interval_us) {
   GraphCachePlusOptions opts = MakeEngineOptions(CacheModel::kCon, cfg);
-  opts.epoch_reads = true;
   opts.maintenance_thread = true;
   opts.checkpoint_dir = dir;
   opts.checkpoint_interval_us = interval_us;
@@ -70,7 +68,6 @@ struct PhaseResult {
   double avg_query_ms = 0.0;
   double restart_ms = 0.0;  ///< WarmRestart wall time (warm phase only).
   std::uint64_t answers_digest = 0;
-  std::uint64_t engine_lock_acquisitions = 0;
   GraphCachePlus::WarmRestartReport restart;
 };
 
@@ -112,7 +109,6 @@ PhaseResult MeasurePhase(GraphCachePlus& gc, const Workload& w) {
   r.avg_query_ms = w.size() == 0 ? 0.0
                                  : static_cast<double>(query_ns) / 1e6 /
                                        static_cast<double>(w.size());
-  r.engine_lock_acquisitions = gc.read_phase_engine_lock_acquisitions();
   return r;
 }
 
@@ -270,16 +266,6 @@ int main(int argc, char** argv) {
                  "FAIL: warm hit rate %.3f below cold %.3f — the restore "
                  "lost ground\n",
                  warm.overall_hit_rate, cold.overall_hit_rate);
-    ++failures;
-  }
-  if (cold.engine_lock_acquisitions != 0 ||
-      warm.engine_lock_acquisitions != 0) {
-    std::fprintf(stderr,
-                 "FAIL: epoch read path took %llu/%llu engine locks\n",
-                 static_cast<unsigned long long>(
-                     cold.engine_lock_acquisitions),
-                 static_cast<unsigned long long>(
-                     warm.engine_lock_acquisitions));
     ++failures;
   }
 

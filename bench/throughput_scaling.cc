@@ -1,29 +1,20 @@
 // Concurrent-serving throughput: queries/sec of one shared GraphCachePlus
-// under 1 / 2 / 4 / 8 closed-loop client threads (Type-A workload),
-// swept across cache shard counts AND read-path admission-control modes —
-// the PR 5 earn-out: with --epoch the read phase pins an epoch and reads
-// a published immutable snapshot instead of taking the engine lock
-// (read_phase_engine_lock_acquisitions drops to zero, printed per row),
-// and dataset changes publish + reconcile shard-by-shard instead of
-// stopping the world.
+// under 1 / 2 / 4 / 8 closed-loop client threads (Type-A workload), swept
+// across cache shard counts.
 //
-// Sweeps epoch modes (--epoch-sweep, default "off,on") x shard
-// configurations (--shard-sweep, default "1,4") x threads (1,2,4,.. up to
-// --max-threads / --threads). --maintenance-thread applies to every
-// configuration; shards=1, epoch=off without it is the PR 2/3 engine
-// bit-exactly.
+// Sweeps shard configurations (--shard-sweep, default "1,4") x threads
+// (1,2,4,.. up to --max-threads / --threads). --maintenance-thread
+// applies to every configuration; shards=1 without it is the
+// single-store engine bit-exactly.
 //
 // One JSON line per configuration on stdout for the BENCH_* trajectory;
-// --json=PATH additionally writes the whole sweep as one report
-// (committed as BENCH_05.json). The trailing summary prints the same-run
-// epoch-vs-lock qps and avg_overhead_ms deltas per (shards, threads).
+// --json=PATH additionally writes the whole sweep as one report.
 //
 // Flags: --threads N caps the sweep (default 8); --workload ZZ|ZU|UU;
-// --shard-sweep a,b,c; --epoch-sweep on,off; --maintenance-thread; the
-// usual corpus/cache knobs from bench_common.
+// --shard-sweep a,b,c; --maintenance-thread; the usual corpus/cache knobs
+// from bench_common.
 
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -60,21 +51,6 @@ std::vector<std::size_t> ParseShardSweep(const std::string& csv) {
   return out;
 }
 
-std::vector<bool> ParseEpochSweep(const std::string& csv) {
-  std::vector<bool> out;
-  for (const std::string& tok : SplitCsv(csv)) {
-    if (tok == "on" || tok == "1" || tok == "true") out.push_back(true);
-    if (tok == "off" || tok == "0" || tok == "false") out.push_back(false);
-  }
-  if (out.empty()) out.push_back(false);
-  return out;
-}
-
-struct Cell {
-  double qps = 0.0;
-  double overhead_ms = 0.0;
-};
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -87,11 +63,9 @@ int main(int argc, char** argv) {
   const std::string wname = flags.GetString("workload", "ZZ");
   const std::vector<std::size_t> shard_sweep =
       ParseShardSweep(flags.GetString("shard-sweep", "1,4"));
-  const std::vector<bool> epoch_sweep =
-      ParseEpochSweep(flags.GetString("epoch-sweep", "off,on"));
   const unsigned cores = std::thread::hardware_concurrency();
   PrintConfig(cfg, "Throughput scaling: one shared GC+ vs. client threads "
-                   "x cache shards x read-path mode (lock vs epoch)");
+                   "x cache shards");
   std::printf("# hardware_concurrency: %u — scaling beyond this is not "
               "expected\n", cores);
 
@@ -105,94 +79,46 @@ int main(int argc, char** argv) {
                                         cfg);
   }
 
-  // (epoch, shards, threads) -> measured cell, for the trailing summary.
-  std::map<std::tuple<bool, std::size_t, std::size_t>, Cell> cells;
-
-  for (const bool epoch : epoch_sweep) {
-    cfg.epoch = epoch;
-    for (const std::size_t shards : shard_sweep) {
-      cfg.shards = shards;
-      std::printf("\n## epoch=%s shards=%zu maintenance_thread=%s\n",
-                  epoch ? "on" : "off", shards,
-                  cfg.maintenance_thread ? "on" : "off");
-      std::printf("%-8s %12s %14s %12s %12s %10s\n", "threads", "qps",
-                  "measured ms", "avg q ms", "avg ovh ms", "scaling");
-      double qps_at_1 = 0.0;
-      for (std::size_t threads = 1; threads <= max_threads; threads *= 2) {
-        cfg.client_threads = threads;
-        RunnerConfig rc =
-            MakeRunnerConfig(RunMode::kCon, MatcherKind::kVf2, cfg);
-        const RunReport r = RunWorkload(corpus, w, plan, rc);
-        if (threads == 1) qps_at_1 = r.qps();
-        const double scaling = qps_at_1 > 0.0 ? r.qps() / qps_at_1 : 0.0;
-        std::printf("%-8zu %12.1f %14.2f %12.4f %12.5f %9.2fx\n", threads,
-                    r.qps(), r.measured_wall_ms, r.avg_query_ms(),
-                    r.avg_overhead_ms(), scaling);
-        cells[{epoch, shards, threads}] =
-            Cell{r.qps(), r.avg_overhead_ms()};
-        char row[640];
-        std::snprintf(
-            row, sizeof(row),
-            "\"workload\":\"%s\",\"mode\":\"CON\",\"method\":\"VF2\","
-            "\"epoch\":%s,\"client_threads\":%zu,\"shards\":%zu,"
-            "\"maintenance_thread\":%s,\"cores\":%u,\"queries\":%zu,"
-            "\"measured_queries\":%zu,\"measured_wall_ms\":%.3f,\"qps\":%.2f,"
-            "\"avg_query_ms\":%.5f,\"avg_overhead_ms\":%.5f,"
-            "\"scaling_vs_1\":%.3f,"
-            "\"read_phase_engine_lock_acquisitions\":%llu,"
-            "\"snapshots_published\":%llu,\"epochs_retired\":%llu",
-            wname.c_str(), epoch ? "true" : "false", threads, shards,
-            cfg.maintenance_thread ? "true" : "false", cores, w.size(),
-            r.measured_queries, r.measured_wall_ms, r.qps(),
-            r.avg_query_ms(), r.avg_overhead_ms(), scaling,
-            static_cast<unsigned long long>(
-                r.cache_stats.read_phase_engine_lock_acquisitions),
-            static_cast<unsigned long long>(
-                r.cache_stats.snapshots_published),
-            static_cast<unsigned long long>(r.cache_stats.epochs_retired));
-        std::printf("{\"bench\":\"throughput_scaling\",%s}\n", row);
-        if (json != nullptr) json->Row(row);
-        if (epoch &&
-            r.cache_stats.read_phase_engine_lock_acquisitions != 0) {
-          std::printf("# WARNING: epoch run took %llu engine locks on the "
-                      "read path (expected 0)\n",
-                      static_cast<unsigned long long>(
-                          r.cache_stats.read_phase_engine_lock_acquisitions));
-        }
-        std::fflush(stdout);
-      }
-    }
-  }
-
-  // Same-run epoch-vs-lock deltas (only when both modes were swept).
-  bool both = false, on_seen = false, off_seen = false;
-  for (const bool e : epoch_sweep) (e ? on_seen : off_seen) = true;
-  both = on_seen && off_seen;
-  if (both) {
-    std::printf("\n## epoch vs lock (same run)\n");
-    std::printf("%-8s %-8s %16s %22s\n", "shards", "threads", "qps ratio",
-                "overhead ms off->on");
-    for (const std::size_t shards : shard_sweep) {
-      for (std::size_t threads = 1; threads <= max_threads; threads *= 2) {
-        const auto off = cells.find({false, shards, threads});
-        const auto on = cells.find({true, shards, threads});
-        if (off == cells.end() || on == cells.end()) continue;
-        const double ratio = off->second.qps > 0.0
-                                 ? on->second.qps / off->second.qps
-                                 : 0.0;
-        std::printf("%-8zu %-8zu %15.3fx %10.5f -> %.5f\n", shards, threads,
-                    ratio, off->second.overhead_ms, on->second.overhead_ms);
-      }
+  for (const std::size_t shards : shard_sweep) {
+    cfg.shards = shards;
+    std::printf("\n## shards=%zu maintenance_thread=%s\n", shards,
+                cfg.maintenance_thread ? "on" : "off");
+    std::printf("%-8s %12s %14s %12s %12s %10s\n", "threads", "qps",
+                "measured ms", "avg q ms", "avg ovh ms", "scaling");
+    double qps_at_1 = 0.0;
+    for (std::size_t threads = 1; threads <= max_threads; threads *= 2) {
+      cfg.client_threads = threads;
+      RunnerConfig rc = MakeRunnerConfig(RunMode::kCon, MatcherKind::kVf2, cfg);
+      const RunReport r = RunWorkload(corpus, w, plan, rc);
+      if (threads == 1) qps_at_1 = r.qps();
+      const double scaling = qps_at_1 > 0.0 ? r.qps() / qps_at_1 : 0.0;
+      std::printf("%-8zu %12.1f %14.2f %12.4f %12.5f %9.2fx\n", threads,
+                  r.qps(), r.measured_wall_ms, r.avg_query_ms(),
+                  r.avg_overhead_ms(), scaling);
+      char row[512];
+      std::snprintf(
+          row, sizeof(row),
+          "\"workload\":\"%s\",\"mode\":\"CON\",\"method\":\"VF2\","
+          "\"client_threads\":%zu,\"shards\":%zu,"
+          "\"maintenance_thread\":%s,\"cores\":%u,\"queries\":%zu,"
+          "\"measured_queries\":%zu,\"measured_wall_ms\":%.3f,\"qps\":%.2f,"
+          "\"avg_query_ms\":%.5f,\"avg_overhead_ms\":%.5f,"
+          "\"scaling_vs_1\":%.3f,"
+          "\"read_phase_engine_lock_acquisitions\":%llu",
+          wname.c_str(), threads, shards,
+          cfg.maintenance_thread ? "true" : "false", cores, w.size(),
+          r.measured_queries, r.measured_wall_ms, r.qps(), r.avg_query_ms(),
+          r.avg_overhead_ms(), scaling,
+          static_cast<unsigned long long>(
+              r.cache_stats.read_phase_engine_lock_acquisitions));
+      std::printf("{\"bench\":\"throughput_scaling\",%s}\n", row);
+      if (json != nullptr) json->Row(row);
+      std::fflush(stdout);
     }
   }
   std::printf(
-      "\n# Expected shape: the epoch path removes every engine-lock "
-      "acquisition from the read\n# path and turns dataset changes into "
-      "publish+reconcile instead of stop-the-world; on a\n# 1-core "
-      "container the win is bounded by hardware (flat thread-scaling is "
-      "the correct\n# result there) — the overhead column still drops "
-      "because drains validate offers against\n# the snapshot's "
-      "precomputed live mask and record segments instead of rebuilding "
-      "them\n# from the dataset per offer.\n");
+      "\n# Expected shape: on a 1-core container flat thread-scaling is "
+      "the correct result —\n# the win is bounded by hardware; the nightly "
+      "4-core workflow measures real scaling.\n");
   return 0;
 }

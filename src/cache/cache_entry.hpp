@@ -38,8 +38,7 @@ struct CachedQuery {
   /// Hit-discovery survivors, exported checkpoints and entry copies alias
   /// this one Graph instead of deep-copying it; refcounted lifetime means
   /// an evicted entry's graph stays reachable for any in-flight reader
-  /// that grabbed the pointer under the shard lock (the shared-ownership
-  /// leg of the epoch reclamation story).
+  /// that grabbed the pointer under the shard lock.
   std::shared_ptr<const Graph> query;
 
   /// Which kind of query produced this entry.

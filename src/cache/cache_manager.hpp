@@ -218,8 +218,8 @@ class CacheManager {
   const RelevanceIndex& relevance_index() const { return relevance_; }
 
   /// Embedded one-hop fragment store. Shares this store's lock discipline
-  /// and watermark; Clear/PurgeForReconcile/ValidateAll/ValidateRelevant
-  /// cover it automatically.
+  /// and reconcile point; Clear/PurgeForReconcile/ValidateAll/
+  /// ValidateRelevant cover it automatically.
   FragmentStore& fragments() { return fragments_; }
   const FragmentStore& fragments() const { return fragments_; }
 
@@ -255,13 +255,6 @@ class CacheManager {
   const CacheManagerOptions& options() const { return options_; }
   StatisticsManager& stats() { return stats_; }
   const StatisticsManager& stats() const { return stats_; }
-
-  /// Change-log position this store's validity state is reconciled to.
-  /// Under the epoch engine each shard advances independently (shard-local
-  /// CON/EVI reconciliation); under the lock engine every shard tracks the
-  /// engine watermark. Guarded by this store's shard lock.
-  LogSeq watermark() const { return watermark_; }
-  void set_watermark(LogSeq w) { watermark_ = w; }
 
   /// Policy the last merge actually applied (HD resolves to PIN or PINC).
   ReplacementPolicy last_effective_policy() const { return last_effective_; }
@@ -331,7 +324,6 @@ class CacheManager {
   /// Whole-query slice of options_.byte_budget (budget minus the fragment
   /// carve-out); 0 when the budget is off.
   std::uint64_t entry_byte_budget_ = 0;
-  LogSeq watermark_ = 0;
   ReplacementPolicy last_effective_ = ReplacementPolicy::kHybrid;
   /// Armed by RestoreEntries, consumed by the next reconcile: the first
   /// post-restore drain re-verifies that the relevance screen's

@@ -1,6 +1,5 @@
 #include "cache/snapshot.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "graph/graph_io.hpp"
@@ -211,22 +210,6 @@ Result<CacheSnapshot> ReadCacheSnapshot(std::istream& is) {
     snapshot.fragments.push_back(std::move(e));
   }
   return snapshot;
-}
-
-Status WriteCacheSnapshotToFile(const std::string& path,
-                                const CacheSnapshot& snapshot) {
-  std::ofstream os(path);
-  if (!os) return Status::IOError("cannot open for writing: " + path);
-  WriteCacheSnapshot(os, snapshot);
-  os.flush();
-  if (!os) return Status::IOError("write failed: " + path);
-  return Status::OK();
-}
-
-Result<CacheSnapshot> ReadCacheSnapshotFromFile(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) return Status::IOError("cannot open for reading: " + path);
-  return ReadCacheSnapshot(is);
 }
 
 }  // namespace gcp

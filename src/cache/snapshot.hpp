@@ -1,6 +1,8 @@
-// Cache snapshot persistence: save a warm GC+ cache and restore it in a
-// later process, skipping the cold-start window the paper pays on every
-// run ("one window before starting measuring").
+// Cache snapshot codec: the image of a warm GC+ cache that a later
+// process restores, skipping the cold-start window the paper pays on
+// every run ("one window before starting measuring"). The stream format
+// here is the body of the one on-disk format, the CRC-framed checkpoint
+// file (cache/checkpoint.hpp).
 //
 // A snapshot records the dataset-log watermark it was consistent with.
 // On load, the runtime resumes from that watermark: the first query's
@@ -45,11 +47,6 @@ void WriteCacheSnapshot(std::ostream& os, const CacheSnapshot& snapshot,
 /// Parses a snapshot stream (v1 or v2); rejects unknown versions and
 /// malformed records with Corruption.
 Result<CacheSnapshot> ReadCacheSnapshot(std::istream& is);
-
-/// File convenience wrappers.
-Status WriteCacheSnapshotToFile(const std::string& path,
-                                const CacheSnapshot& snapshot);
-Result<CacheSnapshot> ReadCacheSnapshotFromFile(const std::string& path);
 
 }  // namespace gcp
 

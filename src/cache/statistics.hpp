@@ -59,20 +59,18 @@ class StatisticsManager {
   std::uint64_t total_cache_clears = 0;  ///< EVI purges.
   std::uint64_t total_retro_refreshes = 0;  ///< Retrospective re-tests (§8).
 
-  // --- Epoch-engine counters (engine-level; per-shard stores report 0,
-  // the engine overlays them onto aggregated snapshots) ------------------
-  /// Immutable EngineSnapshots published through the atomic pointer.
+  // --- Engine-level read-path counters (per-shard stores report 0, the
+  // engine overlays them onto aggregated snapshots) ----------------------
+  /// Always 0: the engine publishes no read snapshots. Kept because the
+  /// end-to-end benchmark reports it.
   std::uint64_t snapshots_published = 0;
-  /// Completed epoch grace periods (retired snapshots reclaimed behind
-  /// them).
+  /// Always 0: the engine retires no epochs. Kept because the end-to-end
+  /// benchmark reports it.
   std::uint64_t epochs_retired = 0;
-  /// Engine-lock acquisitions made by query read phases — zero under
-  /// --epoch (asserted by the epoch stress suite), >= 1 per query on the
-  /// lock path.
+  /// Engine-lock acquisitions made by query paths — >= 1 per query.
   std::uint64_t read_phase_engine_lock_acquisitions = 0;
   /// Copy-on-write clones of the FTV summary vector — one per
-  /// FTV-mutating sync batch; snapshot publishes alias the vector and
-  /// never add to this.
+  /// FTV-mutating sync batch.
   std::uint64_t snapshot_summary_copies = 0;
   /// Survivor Graphs deep-copied under a shard lock by hit discovery —
   /// zero when survivors share ownership of the resident graph (the
@@ -81,7 +79,7 @@ class StatisticsManager {
 
   // --- Durability counters (checkpointing + warm restart). The
   // checkpoint_* group is engine-level (the engine overlays it onto
-  // aggregated snapshots, like the epoch counters); restored_entries is
+  // aggregated snapshots, like the read-path counters); restored_entries is
   // per-shard. ------------------------------------------------------------
   /// Checkpoints durably committed (tmp → fsync → rename completed).
   std::uint64_t checkpoints_written = 0;
@@ -145,7 +143,7 @@ class StatisticsManager {
   std::uint64_t restored_fragments = 0;
 
   // --- Overload / byte-budget counters (PR 10). The shed, drain and
-  // pressure groups are engine-level (overlaid like the epoch counters);
+  // pressure groups are engine-level (overlaid like the read-path counters);
   // the byte-eviction, alloc-failure and restore-drop groups are
   // per-shard. ----------------------------------------------------------
   /// Admission offers shed at ELEVATED/CRITICAL pressure — counted at the

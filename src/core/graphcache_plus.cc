@@ -73,22 +73,12 @@ GraphCachePlus::GraphCachePlus(GraphDataset* dataset,
                           MakePressureConfig(options.byte_budget))
                     : nullptr),
       cache_(options.num_shards,
-             MakeStoreOptions(options, pressure_.get())) {
+             MakeStoreOptions(options, pressure_.get())),
+      synced_horizon_(dataset->IdHorizon()) {
   pending_.reserve(cache_.num_shards());
   for (std::size_t s = 0; s < cache_.num_shards(); ++s) {
     pending_.push_back(std::make_unique<BoundedMpscQueue<PendingMaintenance>>(
         options.maintenance_queue_capacity));
-  }
-  if (options.epoch_reads) {
-    // The first snapshot reflects the dataset as constructed; every shard
-    // starts reconciled to it.
-    auto initial = EngineSnapshot::Initial(*dataset_, ftv_.get());
-    watermark_ = initial->watermark;
-    for (std::size_t s = 0; s < cache_.num_shards(); ++s) {
-      cache_.shard(s).set_watermark(initial->watermark);
-    }
-    snapshot_.store(initial.release(), std::memory_order_seq_cst);
-    snapshots_published_.fetch_add(1, std::memory_order_relaxed);
   }
   if (options.maintenance_thread) {
     maintenance_ = std::make_unique<MaintenanceThread>(
@@ -100,9 +90,6 @@ GraphCachePlus::GraphCachePlus(GraphDataset* dataset,
 GraphCachePlus::~GraphCachePlus() {
   // Join the drain thread before any member it touches is torn down.
   if (maintenance_ != nullptr) maintenance_->Stop();
-  // No reader can be pinned anymore (contract): free the live snapshot;
-  // the epoch manager's destructor frees everything still retired.
-  delete snapshot_.exchange(nullptr, std::memory_order_acq_rel);
 }
 
 bool GraphCachePlus::NeedsSyncLocked() const {
@@ -134,16 +121,7 @@ void GraphCachePlus::SyncWithDatasetLocked(QueryMetrics* metrics) {
       CacheValidator::DeltaRevalidateFn delta_fn;
       const CacheValidator::DeltaRevalidateFn* delta = nullptr;
       if (options_.delta_revalidation) {
-        delta_fn = MakeDeltaRevalidator(
-            records,
-            [this](GraphId id) -> const Graph* {
-              return dataset_->IsLive(id) ? &dataset_->graph(id) : nullptr;
-            },
-            [this](GraphId id) -> const GraphFeatures* {
-              // In sync after the block above — summaries are target-state.
-              return ftv_ != nullptr && ftv_->InSync() ? ftv_->SummaryOf(id)
-                                                       : nullptr;
-            });
+        delta_fn = MakeDeltaRevalidator(records);
         delta = &delta_fn;
       }
       const std::size_t horizon = dataset_->IdHorizon();
@@ -159,12 +137,7 @@ void GraphCachePlus::SyncWithDatasetLocked(QueryMetrics* metrics) {
       }
     }
     watermark_ = log.LatestSeq();
-    // Shard watermarks track the engine watermark on the lock path
-    // (introspective invariant; the lock-path drains reference
-    // watermark_ directly).
-    for (std::size_t s = 0; s < cache_.num_shards(); ++s) {
-      cache_.shard(s).set_watermark(watermark_);
-    }
+    synced_horizon_ = dataset_->IdHorizon();
   }
 }
 
@@ -206,28 +179,19 @@ std::vector<CacheManager::EntryCreditSum> GraphCachePlus::SumCredits(
 }
 
 void GraphCachePlus::ForwardValidateLocked(CachedQuery& entry,
-                                           LogSeq observed,
-                                           const DrainEnv& env) const {
-  std::vector<ChangeRecord> records;
-  if (env.snap != nullptr) {
-    records = env.snap->RecordsBetween(observed, env.watermark);
-  } else {
-    records = dataset_->log().ExtractSince(observed);
-    records.erase(std::remove_if(records.begin(), records.end(),
-                                 [&env](const ChangeRecord& r) {
-                                   return r.seq > env.watermark;
-                                 }),
-                  records.end());
-  }
+                                           LogSeq observed) const {
+  std::vector<ChangeRecord> records = dataset_->log().ExtractSince(observed);
+  records.erase(std::remove_if(records.begin(), records.end(),
+                               [this](const ChangeRecord& r) {
+                                 return r.seq > watermark_;
+                               }),
+                records.end());
   const ChangeCounters counters = LogAnalyzer::Analyze(records);
-  const std::size_t horizon =
-      env.snap != nullptr ? env.snap->id_horizon : dataset_->IdHorizon();
-  CacheValidator::RefreshEntry(entry, counters, horizon);
+  CacheValidator::RefreshEntry(entry, counters, dataset_->IdHorizon());
 }
 
 void GraphCachePlus::ApplyMaintenanceLocked(std::size_t s,
-                                            PendingMaintenance& batch,
-                                            const DrainEnv& env) {
+                                            PendingMaintenance& batch) {
   CacheManager& shard = cache_.shard(s);
   // Fragment credits first (credits-before-offers, as for entries):
   // recency + benefit for the masks the read phase applied.
@@ -240,34 +204,29 @@ void GraphCachePlus::ApplyMaintenanceLocked(std::size_t s,
   // forward-validated through Algorithms 1 + 2 under CON — so both sides
   // of an AdmitOrMerge sit at the store's watermark.
   for (AdmissionOffer& fo : batch.fragment_offers) {
-    if (fo.observed_watermark > env.watermark) continue;
-    const bool fo_stale = fo.observed_watermark != env.watermark;
+    if (fo.observed_watermark > watermark_) continue;
+    const bool fo_stale = fo.observed_watermark != watermark_;
     if (fo_stale && options_.model == CacheModel::kEvi) continue;
-    if (fo_stale) ForwardValidateLocked(*fo.entry, fo.observed_watermark, env);
+    if (fo_stale) ForwardValidateLocked(*fo.entry, fo.observed_watermark);
     shard.fragments().AdmitOrMerge(std::move(fo.entry), batch.query_id,
                                    shard.stats());
   }
   if (!batch.offer.has_value()) return;
   AdmissionOffer& offer = *batch.offer;
-  if (offer.observed_watermark > env.watermark) {
-    // Knowledge from a snapshot newer than this drain's reference — only
-    // possible on the epoch path when a publish raced the pop, and then a
-    // later drain (whose snapshot covers the offer) would still be unable
-    // to rewind it. Dropping is the only exact option; the pop-then-load
-    // ordering in DrainShard makes this unreachable in practice.
+  if (offer.observed_watermark > watermark_) {
+    // Knowledge newer than the store: only possible when ApplySnapshot
+    // rewound the watermark to an older file's while this offer was in
+    // flight. Knowledge cannot be rewound, so the offer is dropped.
     return;
   }
-  const bool stale = offer.observed_watermark != env.watermark;
+  const bool stale = offer.observed_watermark != watermark_;
   if (stale && options_.model == CacheModel::kEvi) {
     // EVI keeps no pre-change knowledge: an offer computed before the
     // change the cache already purged for is dropped, exactly as a
     // resident entry would have been.
     return;
   }
-  // Lock path (env.live == nullptr): the dataset's maintained live mask.
-  // Epoch path: the snapshot's mask, no dataset access.
-  const DynamicBitset& live =
-      env.live == nullptr ? dataset_->LiveMask() : *env.live;
+  const DynamicBitset& live = dataset_->LiveMask();
   // The read phase's twin lookup again, without its validity filter: one
   // entry per isomorphism class, never a second beside the first.
   CachedQuery& entry = *offer.entry;
@@ -279,7 +238,7 @@ void GraphCachePlus::ApplyMaintenanceLocked(std::size_t s,
     if (c->valid.size() == live.size() && live.IsSubsetOf(c->valid)) {
       // A fully valid twin already covers the offer: it landed between
       // this query's read phase and its drain (a concurrent twin), or
-      // the shortcut was not taken (a lagging shard, a CRITICAL bypass).
+      // the shortcut was not taken (a CRITICAL bypass).
       ++shard.stats().total_admission_dedups;
       return;
     }
@@ -290,7 +249,7 @@ void GraphCachePlus::ApplyMaintenanceLocked(std::size_t s,
     // exactly the records the store has already reconciled, so it joins
     // the resident set at the store's watermark. Records past it are left
     // for the next reconcile (which refreshes every resident uniformly).
-    ForwardValidateLocked(entry, offer.observed_watermark, env);
+    ForwardValidateLocked(entry, offer.observed_watermark);
   }
   if (twin != nullptr) {
     // Algorithm 2 faded the twin since it was admitted: fold the offer's
@@ -305,9 +264,8 @@ void GraphCachePlus::ApplyMaintenanceLocked(std::size_t s,
   (void)shard.AdmitPrepared(std::move(offer.entry), batch.query_id);
 }
 
-void GraphCachePlus::ApplyBatchesLocked(std::size_t s,
-                                        std::span<PendingMaintenance> batches,
-                                        const DrainEnv& env) {
+void GraphCachePlus::ApplyBatchesLocked(
+    std::size_t s, std::span<PendingMaintenance> batches) {
   if (batches.empty()) return;
   // Benefit credits are summed per entry across the whole drain and
   // applied as one update per entry; a credit can never reference an
@@ -315,65 +273,31 @@ void GraphCachePlus::ApplyBatchesLocked(std::size_t s,
   // resident when the crediting query's read phase discovered it), so
   // applying all credits before all offers preserves the per-batch order.
   cache_.shard(s).CreditHitsBatched(SumCredits(batches));
-  for (PendingMaintenance& b : batches) ApplyMaintenanceLocked(s, b, env);
+  for (PendingMaintenance& b : batches) ApplyMaintenanceLocked(s, b);
   // Replacement runs once per drain, however many admissions landed.
   cache_.shard(s).MaybeMergeWindow();
 }
 
-void GraphCachePlus::DrainShardLocked(std::size_t s, const DrainEnv& env) {
+void GraphCachePlus::DrainShardLocked(std::size_t s) {
   std::vector<PendingMaintenance> batches = pending_[s]->DrainAll();
-  ApplyBatchesLocked(s, batches, env);
+  ApplyBatchesLocked(s, batches);
 }
 
 bool GraphCachePlus::DrainShard(std::size_t s, bool try_lock,
                                 PendingMaintenance* extra) {
-  if (!options_.epoch_reads) {
-    // Lock path: caller holds the engine lock (shared suffices).
-    ShardedCache::DrainScope scope(s);
-    auto lock =
-        try_lock ? cache_.TryLockExclusive(s) : cache_.LockExclusive(s);
-    if (!lock.owns_lock()) return false;
-    const DrainEnv env{watermark_, nullptr, nullptr};
-    DrainShardLocked(s, env);
-    if (extra != nullptr) {
-      ApplyBatchesLocked(s, std::span<PendingMaintenance>(extra, 1), env);
-    }
-    return true;
-  }
-  // Epoch path: no engine lock anywhere. Pin first so every snapshot
-  // loaded below stays alive for the whole drain.
-  EpochManager::Guard guard = epochs_.Pin();
+  // The caller holds the engine lock (shared suffices).
   ShardedCache::DrainScope scope(s);
   auto lock = try_lock ? cache_.TryLockExclusive(s) : cache_.LockExclusive(s);
   if (!lock.owns_lock()) return false;
-  // Pop BEFORE loading the snapshot: every popped offer was stamped from
-  // a snapshot published before its push, and push happens-before pop, so
-  // the snapshot loaded here covers every popped watermark — and is never
-  // older than the shard watermark (a shard only advances to a published
-  // snapshot's watermark).
-  std::vector<PendingMaintenance> batches = pending_[s]->DrainAll();
-  // seq_cst pairs with the epoch slot scan: either the publisher's slot
-  // scan saw our pin (no reclamation until we unpin), or this load is
-  // ordered after the publish and returns the successor.
-  const EngineSnapshot* snap = snapshot_.load(std::memory_order_seq_cst);
-  if (cache_.shard(s).watermark() != snap->watermark) {
-    // Fast-forward a lagging shard (the mutator publishes before it
-    // reconciles; drains help) so offers validate against a store whose
-    // validity state matches the reference watermark.
-    ReconcileShardLocked(s, *snap, nullptr);
-  }
-  const DrainEnv env{snap->watermark, &snap->live, snap};
-  ApplyBatchesLocked(s, batches, env);
+  DrainShardLocked(s);
   if (extra != nullptr) {
-    ApplyBatchesLocked(s, std::span<PendingMaintenance>(extra, 1), env);
+    ApplyBatchesLocked(s, std::span<PendingMaintenance>(extra, 1));
   }
   return true;
 }
 
 void GraphCachePlus::DrainAllShardsLocked() {
-  for (std::size_t s = 0; s < pending_.size(); ++s) {
-    DrainShardLocked(s, DrainEnv{watermark_, nullptr, nullptr});
-  }
+  for (std::size_t s = 0; s < pending_.size(); ++s) DrainShardLocked(s);
 }
 
 void GraphCachePlus::MaintenanceDrainPass() {
@@ -381,19 +305,10 @@ void GraphCachePlus::MaintenanceDrainPass() {
   std::int64_t drain_ns = 0;
   {
     ScopedTimer timer(&drain_ns);
-    if (options_.epoch_reads) {
-      // Epoch path: per-shard drains pin their own epoch; no engine lock.
-      for (std::size_t s = 0; s < pending_.size(); ++s) {
-        if (!pending_[s]->empty()) {
-          drained |= DrainShard(s, /*try_lock=*/false);
-        }
-      }
-    } else {
-      std::shared_lock<std::shared_mutex> engine_read(mu_);
-      for (std::size_t s = 0; s < pending_.size(); ++s) {
-        if (!pending_[s]->empty()) {
-          drained |= DrainShard(s, /*try_lock=*/false);
-        }
+    std::shared_lock<std::shared_mutex> engine_read(mu_);
+    for (std::size_t s = 0; s < pending_.size(); ++s) {
+      if (!pending_[s]->empty()) {
+        drained |= DrainShard(s, /*try_lock=*/false);
       }
     }
   }
@@ -408,48 +323,6 @@ void GraphCachePlus::MaintenanceDrainPass() {
   MaybeBackgroundCheckpoint();
 }
 
-void GraphCachePlus::ReconcileShardLocked(std::size_t s,
-                                          const EngineSnapshot& snap,
-                                          std::size_t* retro_budget) {
-  CacheManager& shard = cache_.shard(s);
-  const LogSeq from = shard.watermark();
-  if (from == snap.watermark) return;
-  if (options_.model == CacheModel::kEvi) {
-    // EVI: any dataset change purges — shard-locally here.
-    shard.PurgeForReconcile();
-  } else {
-    const std::vector<ChangeRecord> records =
-        snap.RecordsBetween(from, snap.watermark);
-    const ChangeCounters counters = LogAnalyzer::Analyze(records);
-    CacheValidator::DeltaRevalidateFn delta_fn;
-    const CacheValidator::DeltaRevalidateFn* delta = nullptr;
-    if (options_.delta_revalidation) {
-      delta_fn = MakeDeltaRevalidator(
-          records,
-          [&snap](GraphId id) -> const Graph* {
-            return id < snap.live.size() && snap.live.Test(id) &&
-                           snap.graphs[id] != nullptr
-                       ? &snap.graph(id)
-                       : nullptr;
-          },
-          [&snap](GraphId id) -> const GraphFeatures* {
-            if (!snap.has_ftv || snap.ftv_summaries == nullptr ||
-                id >= snap.ftv_summaries->size()) {
-              return nullptr;
-            }
-            const auto& slot = (*snap.ftv_summaries)[id];
-            return slot.has_value() ? &*slot : nullptr;
-          });
-      delta = &delta_fn;
-    }
-    ValidateShardStore(shard, counters, snap.id_horizon, delta);
-    if (retro_budget != nullptr && *retro_budget > 0) {
-      RetrospectiveRefreshShard(s, snap.live, retro_budget);
-    }
-  }
-  shard.set_watermark(snap.watermark);
-}
-
 void GraphCachePlus::ValidateShardStore(
     CacheManager& shard, const ChangeCounters& counters,
     std::size_t id_horizon, const CacheValidator::DeltaRevalidateFn* delta) {
@@ -461,16 +334,22 @@ void GraphCachePlus::ValidateShardStore(
 }
 
 CacheValidator::DeltaRevalidateFn GraphCachePlus::MakeDeltaRevalidator(
-    const std::vector<ChangeRecord>& records,
-    std::function<const Graph*(GraphId)> graph_of,
-    std::function<const GraphFeatures*(GraphId)> summary_of) const {
+    const std::vector<ChangeRecord>& records) const {
+  // The dataset is quiescent under the barrier, so its current state is
+  // the batch-target state of every pair.
+  const GraphDataset& ds = *dataset_;
+  auto graph_of = [&ds](GraphId id) -> const Graph* {
+    return ds.IsLive(id) ? &ds.graph(id) : nullptr;
+  };
+  // The caller synced the FTV index first: its summaries are target-state.
+  const FtvIndex* ftv = ftv_ != nullptr && ftv_->InSync() ? ftv_.get()
+                                                          : nullptr;
   // One pass over the batch up front; the per-pair hook is then mask
   // tests plus (rarely) one containment check.
   ChangeBatchFootprint footprint =
       LogAnalyzer::PairFootprint(records, graph_of);
   const SubgraphMatcher& verifier = method_m_.matcher();
-  return [footprint = std::move(footprint), graph_of = std::move(graph_of),
-          summary_of = std::move(summary_of), &verifier](
+  return [footprint = std::move(footprint), graph_of, ftv, &verifier](
              CachedQuery& e, GraphId graph_id,
              StatisticsManager& stats) -> bool {
     const bool super = e.kind == CachedQueryKind::kSupergraph;
@@ -498,7 +377,7 @@ CacheValidator::DeltaRevalidateFn GraphCachePlus::MakeDeltaRevalidator(
     if (g == nullptr) return false;  // dead at target — plain clear
     bool contained;
     const GraphFeatures* summary =
-        summary_of != nullptr ? summary_of(graph_id) : nullptr;
+        ftv != nullptr ? ftv->SummaryOf(graph_id) : nullptr;
     if (summary != nullptr &&
         (super ? !summary->CouldBeSubgraphOf(e.features)
                : !e.features.CouldBeSubgraphOf(*summary))) {
@@ -514,91 +393,23 @@ CacheValidator::DeltaRevalidateFn GraphCachePlus::MakeDeltaRevalidator(
   };
 }
 
-void GraphCachePlus::PublishAndReconcile(QueryMetrics* metrics) {
-  // mutation_mu_ held: we are the only publisher; the log cannot move.
-  const EngineSnapshot* prev = snapshot_.load(std::memory_order_seq_cst);
-  const bool log_moved = dataset_->log().LatestSeq() != prev->watermark;
-  const bool ftv_lag = ftv_ != nullptr && !ftv_->InSync();
-  if (!log_moved && !ftv_lag) return;
-
-  if (ftv_lag) {
-    std::int64_t unused_ns = 0;
-    ScopedTimer timer(metrics != nullptr ? &metrics->t_index_ns : &unused_ns);
-    ftv_->SyncWithDataset();
-  }
-  std::vector<ChangeRecord> records =
-      dataset_->log().ExtractSince(prev->watermark);
-  const EngineSnapshot* next =
-      EngineSnapshot::Next(*prev, *dataset_, ftv_.get(), std::move(records))
-          .release();
-  snapshot_.store(next, std::memory_order_seq_cst);
-  snapshots_published_.fetch_add(1, std::memory_order_relaxed);
-
-  // Shard-by-shard reconciliation under per-shard exclusive locks: drain
-  // the shard's pending batches at its OLD watermark first (they were
-  // prepared against the old snapshot — mirrors the lock path's
-  // drain-before-sync), then purge (EVI) / validate + retrospective
-  // refresh (CON) and advance the shard watermark. Readers of other
-  // shards — and of this shard, on the old snapshot — are never stalled.
-  std::int64_t unused_ns = 0;
-  ScopedTimer timer(metrics != nullptr && log_moved
-                        ? &metrics->t_validate_ns
-                        : &unused_ns);
-  std::size_t retro_budget =
-      options_.model == CacheModel::kCon ? options_.retrospective_budget : 0;
-  for (std::size_t s = 0; s < cache_.num_shards(); ++s) {
-    ShardedCache::DrainScope scope(s);
-    auto lock = cache_.LockExclusive(s);
-    // Reconcile first, then drain at the new watermark: pre-publish
-    // offers take the stale forward-validation path, offers from readers
-    // already on `next` admit plainly. (Serially the queue is empty here
-    // — the pre-mutation settle drains ran — so this matches the lock
-    // path's drain-before-validate order bit-exactly.)
-    ReconcileShardLocked(s, *next,
-                         retro_budget > 0 ? &retro_budget : nullptr);
-    DrainShardLocked(s, DrainEnv{next->watermark, &next->live, next});
-  }
-  watermark_ = next->watermark;
-  epochs_.Retire(prev);
-  epochs_.Collect();
-}
-
 void GraphCachePlus::ApplyDatasetChanges(
     const std::function<void(GraphDataset&)>& fn) {
-  if (!options_.epoch_reads) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    // Stop-the-world barrier: every shard lock, so no drain or discovery
-    // is in flight anywhere while the dataset mutates.
-    const auto shard_locks = cache_.LockAllExclusive();
-    DrainAllShardsLocked();
-    fn(*dataset_);
-    return;
-  }
-  std::lock_guard<std::mutex> lock(mutation_mu_);
-  // Settle pending maintenance at the pre-change watermark (mirrors the
-  // lock path's drain-before-mutation), one shard at a time — readers
-  // keep flowing.
-  for (std::size_t s = 0; s < pending_.size(); ++s) {
-    if (!pending_[s]->empty()) DrainShard(s, /*try_lock=*/false);
-  }
+  std::unique_lock<std::shared_mutex> lock(mu_);
+  // Stop-the-world barrier: every shard lock, so no drain or discovery
+  // is in flight anywhere while the dataset mutates.
+  const auto shard_locks = cache_.LockAllExclusive();
+  DrainAllShardsLocked();
   fn(*dataset_);
-  PublishAndReconcile(nullptr);
 }
 
 void GraphCachePlus::FlushMaintenance() {
   std::int64_t drain_ns = 0;
-  if (!options_.epoch_reads) {
+  {
     std::unique_lock<std::shared_mutex> lock(mu_);
     ScopedTimer timer(&drain_ns);
     const auto shard_locks = cache_.LockAllExclusive();
     DrainAllShardsLocked();
-  } else {
-    std::lock_guard<std::mutex> lock(mutation_mu_);
-    ScopedTimer timer(&drain_ns);
-    for (std::size_t s = 0; s < pending_.size(); ++s) {
-      DrainShard(s, /*try_lock=*/false);
-    }
-    epochs_.Collect();
   }
   // Attribute the quiescing drain to maintenance overhead so end-of-run
   // flushes (e.g. the runner's) don't make deferral look free.
@@ -618,19 +429,11 @@ AggregateMetrics GraphCachePlus::AggregateSnapshot() const {
 
 StatisticsManager GraphCachePlus::CacheStatsSnapshot() const {
   StatisticsManager stats;
-  if (!options_.epoch_reads) {
+  {
     std::shared_lock<std::shared_mutex> lock(mu_);
     const auto shard_locks = cache_.LockAllShared();
     stats = cache_.AggregateStats();
-  } else {
-    // Shard locks alone give a consistent per-shard view; the engine lock
-    // guards nothing the stores need on the epoch path.
-    const auto shard_locks = cache_.LockAllShared();
-    stats = cache_.AggregateStats();
   }
-  stats.snapshots_published =
-      snapshots_published_.load(std::memory_order_relaxed);
-  stats.epochs_retired = epochs_.advances();
   stats.read_phase_engine_lock_acquisitions =
       engine_lock_acquisitions_.load(std::memory_order_relaxed);
   stats.snapshot_summary_copies = ftv_ ? ftv_->summary_copies() : 0;
@@ -669,24 +472,15 @@ Result<CacheSnapshot> GraphCachePlus::ExportSnapshot() const {
   if (AllocationFaultFires(AllocSite::kSnapshotExport, 0)) {
     return Status::ResourceExhausted("snapshot export allocation failed");
   }
+  // One shared hold and no sync: the stores are copied as of their last
+  // reconcile, so the export never waits for the barrier however fast the
+  // dataset changes. Changes past watermark_ are replayed by the restoring
+  // engine's next query, as for any older checkpoint.
   CacheSnapshot snapshot;
-  if (!options_.epoch_reads) {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    const auto shard_locks = cache_.LockAllShared();
-    snapshot.watermark = watermark_;
-    snapshot.id_horizon = dataset_->IdHorizon();
-    snapshot.entries = cache_.ExportEntries();
-    snapshot.fragments = cache_.ExportFragments();
-    return snapshot;
-  }
-  // Epoch path: exclude publishes (mutation_mu_), then all shard locks
-  // shared give a consistent export at the current snapshot's watermark.
-  std::lock_guard<std::mutex> lock(
-      const_cast<GraphCachePlus*>(this)->mutation_mu_);
-  const EngineSnapshot* snap = snapshot_.load(std::memory_order_acquire);
+  std::shared_lock<std::shared_mutex> lock(mu_);
   const auto shard_locks = cache_.LockAllShared();
-  snapshot.watermark = snap->watermark;
-  snapshot.id_horizon = snap->id_horizon;
+  snapshot.watermark = watermark_;
+  snapshot.id_horizon = synced_horizon_;
   snapshot.entries = cache_.ExportEntries();
   snapshot.fragments = cache_.ExportFragments();
   return snapshot;
@@ -695,11 +489,11 @@ Result<CacheSnapshot> GraphCachePlus::ExportSnapshot() const {
 Status GraphCachePlus::SaveCache(const std::string& path) const {
   Result<CacheSnapshot> snapshot = ExportSnapshot();
   if (!snapshot.ok()) return snapshot.status();
-  return WriteCacheSnapshotToFile(path, std::move(snapshot).value());
+  return WriteCheckpointFile(path, snapshot.value());
 }
 
 Status GraphCachePlus::LoadCache(const std::string& path) {
-  auto snapshot = ReadCacheSnapshotFromFile(path);
+  Result<CacheSnapshot> snapshot = ReadCheckpointFile(path);
   if (!snapshot.ok()) return snapshot.status();
   return ApplySnapshot(std::move(snapshot).value());
 }
@@ -734,53 +528,21 @@ Status GraphCachePlus::ApplySnapshot(CacheSnapshot snapshot) {
     }
     return Status::OK();
   };
-  if (!options_.epoch_reads) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    if (Status st = validate(); !st.ok()) return st;
-    const auto shard_locks = cache_.LockAllExclusive();
-    // Settle queued maintenance before the restore wipes the stores it
-    // refers to (stale credits would silently no-op; admissions from the
-    // pre-restore cache would duplicate restored entries).
-    DrainAllShardsLocked();
-    cache_.RestoreEntries(std::move(s.entries));
-    // After RestoreEntries — each shard's restore clears its fragment
-    // store along with everything else.
-    cache_.RestoreFragments(std::move(s.fragments));
-    // Resume from the snapshot's watermark: the next query's sync replays
-    // the incremental suffix, re-establishing consistency.
-    watermark_ = s.watermark;
-    for (std::size_t sh = 0; sh < cache_.num_shards(); ++sh) {
-      cache_.shard(sh).set_watermark(watermark_);
-    }
-    return Status::OK();
-  }
-  // Epoch path: restore shard-by-shard at the file's watermark, then
-  // reconcile each shard straight up to the current snapshot (the epoch
-  // engine has no "sync on next query" — shards are only readable at the
-  // snapshot watermark).
-  std::lock_guard<std::mutex> lock(mutation_mu_);
+  std::unique_lock<std::shared_mutex> lock(mu_);
   if (Status st = validate(); !st.ok()) return st;
-  EpochManager::Guard guard = epochs_.Pin();
-  const EngineSnapshot* snap = snapshot_.load(std::memory_order_seq_cst);
-  std::vector<std::vector<CachedQuery>> routed(cache_.num_shards());
-  for (CachedQuery& e : s.entries) {
-    routed[cache_.ShardOfDigest(e.digest)].push_back(std::move(e));
-  }
-  std::vector<std::vector<CachedQuery>> frag_routed(cache_.num_shards());
-  for (CachedQuery& e : s.fragments) {
-    frag_routed[cache_.ShardOfDigest(e.digest)].push_back(std::move(e));
-  }
-  for (std::size_t sh = 0; sh < cache_.num_shards(); ++sh) {
-    ShardedCache::DrainScope scope(sh);
-    auto shard_lock = cache_.LockExclusive(sh);
-    CacheManager& shard = cache_.shard(sh);
-    DrainShardLocked(sh, DrainEnv{shard.watermark(), &snap->live, snap});
-    shard.RestoreEntries(std::move(routed[sh]));
-    // After RestoreEntries, whose Clear() wipes the fragment store too.
-    shard.RestoreFragments(std::move(frag_routed[sh]));
-    shard.set_watermark(s.watermark);
-    ReconcileShardLocked(sh, *snap, nullptr);
-  }
+  const auto shard_locks = cache_.LockAllExclusive();
+  // Settle queued maintenance before the restore wipes the stores it
+  // refers to (stale credits would silently no-op; admissions from the
+  // pre-restore cache would duplicate restored entries).
+  DrainAllShardsLocked();
+  cache_.RestoreEntries(std::move(s.entries));
+  // After RestoreEntries — each shard's restore clears its fragment
+  // store along with everything else.
+  cache_.RestoreFragments(std::move(s.fragments));
+  // Resume from the snapshot's watermark: the next query's sync replays
+  // the incremental suffix, re-establishing consistency.
+  watermark_ = s.watermark;
+  synced_horizon_ = s.id_horizon;
   return Status::OK();
 }
 
@@ -945,10 +707,10 @@ void GraphCachePlus::RetrospectiveRefreshShard(std::size_t s,
   }
 }
 
-void GraphCachePlus::ExecuteReadSlice(
-    const Graph& g, QueryKind kind, const DynamicBitset& csm,
-    const EngineSnapshot* snap, LogSeq watermark, std::size_t id_horizon,
-    QueryMetrics& m, Deferred& deferred, DynamicBitset& answer_bits) {
+void GraphCachePlus::ExecuteReadSlice(const Graph& g, QueryKind kind,
+                                      const DynamicBitset& csm,
+                                      QueryMetrics& m, Deferred& deferred,
+                                      DynamicBitset& answer_bits) {
   auto batch_for = [&](std::size_t s) -> PendingMaintenance& {
     for (auto& [shard, batch] : deferred) {
       if (shard == s) return batch;
@@ -978,10 +740,9 @@ void GraphCachePlus::ExecuteReadSlice(
   // --- §6.3 case 1 first: the digest-keyed twin lookup in the query's
   // home shard. A resident isomorphic twin fully valid over CS_M answers
   // the query outright — no fragments, no discovery, no Method M, no
-  // offer. Candidates are copied out under the shared home-shard lock
-  // (skipped, like discovery, when the epoch path finds the shard
-  // lagging); the isomorphism check runs with no lock held. On a miss
-  // the digest keys the admission offer.
+  // offer. Candidates are copied out under the shared home-shard lock;
+  // the isomorphism check runs with no lock held. On a miss the digest
+  // keys the admission offer.
   const bool lookup_twin = options_.enable_exact_shortcut && !bypass_cache;
   std::uint64_t digest = 0;
   if (lookup_twin) {
@@ -991,11 +752,7 @@ void GraphCachePlus::ExecuteReadSlice(
     std::vector<ExactHit> twins;
     {
       const auto shard_lock = cache_.LockShared(home);
-      if (snap == nullptr ||
-          cache_.shard(home).watermark() == snap->watermark) {
-        twins =
-            discovery_.CollectExact(g, digest, kind, cache_.shard(home), csm);
-      }
+      twins = discovery_.CollectExact(g, digest, kind, cache_.shard(home), csm);
     }
     std::optional<ExactHit> exact =
         discovery_.ResolveExact(g, std::move(twins), csm, &m);
@@ -1044,22 +801,10 @@ void GraphCachePlus::ExecuteReadSlice(
     std::vector<HitDiscovery::Candidate> pool;
     for (std::size_t s = 0; s < cache_.num_shards(); ++s) {
       const auto shard_lock = cache_.LockShared(s);
-      if (snap != nullptr &&
-          cache_.shard(s).watermark() != snap->watermark) {
-        // Epoch path: this shard's validity state is at a different
-        // dataset version than our snapshot (a mutation is mid-
-        // reconciliation, or our snapshot is already superseded). Its
-        // knowledge cannot be mixed into this answer — skip it; hits are
-        // an optimization, exactness never depends on them.
-        continue;
-      }
       discovery_.CollectShard(features, kind, cache_.shard(s), csm, &pool,
                               &m);
-      // Fragment probe rides the same shard lock (and the same epoch
-      // lag-skip: a lagging shard's fragment bits describe an older
-      // dataset version, so using them could prune a graph that since
-      // became an answer). Masks are copied out; intersection runs later
-      // with no lock held.
+      // Fragment probe rides the same shard lock. Masks are copied out;
+      // intersection runs later with no lock held.
       for (std::size_t i = 0; i < fragments.size(); ++i) {
         if (cache_.ShardOfDigest(fragments[i].digest) != s) continue;
         const CachedQuery* e = cache_.shard(s).fragments().Probe(
@@ -1102,10 +847,8 @@ void GraphCachePlus::ExecuteReadSlice(
         DynamicBitset star_answer(csm.size());
         for (std::size_t id = csm.FindFirst(); id != DynamicBitset::npos;
              id = csm.FindNext(id + 1)) {
-          const Graph& target =
-              snap != nullptr ? snap->graph(static_cast<GraphId>(id))
-                              : dataset_->graph(static_cast<GraphId>(id));
-          if (internal_matcher_->ContainsPrepared(*prepared, target)) {
+          if (internal_matcher_->ContainsPrepared(
+                  *prepared, dataset_->graph(static_cast<GraphId>(id)))) {
             star_answer.Set(id);
           }
         }
@@ -1126,7 +869,7 @@ void GraphCachePlus::ExecuteReadSlice(
               CachedQueryKind::kSubgraph, std::move(star_answer),
               DynamicBitset(csm), cost, fragments[i].digest,
               std::move(star_features));
-          offer.observed_watermark = watermark;
+          offer.observed_watermark = watermark_;
           batch_for(cache_.ShardOfDigest(fragments[i].digest))
               .fragment_offers.push_back(std::move(offer));
         }
@@ -1174,11 +917,7 @@ void GraphCachePlus::ExecuteReadSlice(
     answer_bits = pruned.answer_direct;
   } else {
     answer_bits =
-        snap != nullptr
-            ? method_m_.VerifyCandidatesOn(*snap, g, kind, pruned.candidates,
-                                           &m.si_tests)
-            : method_m_.VerifyCandidates(g, kind, pruned.candidates,
-                                         &m.si_tests);
+        method_m_.VerifyCandidates(g, kind, pruned.candidates, &m.si_tests);
     // Formula (3): verified graphs plus direct transfers.
     answer_bits.OrWith(pruned.answer_direct);
   }
@@ -1203,7 +942,7 @@ void GraphCachePlus::ExecuteReadSlice(
     // Method M, GC+ results exactly the same pruned candidate set" —
     // requires every cache decision (incl. PINC/HD scoring) to be
     // method-independent.
-    DynamicBitset valid(id_horizon);
+    DynamicBitset valid(dataset_->IdHorizon());
     valid.SetAll();
     // One copy of g into shared storage (the caller keeps the original);
     // from here on the admission path only moves the pointer.
@@ -1214,19 +953,18 @@ void GraphCachePlus::ExecuteReadSlice(
         answer_bits, std::move(valid),
         StatisticsManager::StructuralCostEstimateMs(g),
         lookup_twin ? digest : WlDigest(g), std::move(features));
-    offer.observed_watermark = watermark;
+    offer.observed_watermark = watermark_;
     const std::size_t home = cache_.ShardOfDigest(offer.entry->digest);
     batch_for(home).offer = std::move(offer);
   }
 }
 
-void GraphCachePlus::ReadPhaseLocked(const Graph& g, QueryKind kind,
-                                     QueryMetrics& m, Deferred& deferred,
-                                     DynamicBitset& answer_bits) {
+void GraphCachePlus::ReadPhase(const Graph& g, QueryKind kind,
+                               QueryMetrics& m, Deferred& deferred,
+                               DynamicBitset& answer_bits) {
   // ===== Read phase (engine shared lock) =================================
   std::shared_lock<std::shared_mutex> read_lock(mu_);
   engine_lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-
   // --- Dataset Manager: reconcile dataset changes with the cache. -------
   // Upgrade to the stop-the-world barrier only when the change log moved
   // past the cache watermark (or the FTV index lags); queued maintenance
@@ -1259,51 +997,8 @@ void GraphCachePlus::ReadPhaseLocked(const Graph& g, QueryKind kind,
     csm = dataset_->LiveMask();
   }
 
-  ExecuteReadSlice(g, kind, csm, /*snap=*/nullptr, watermark_,
-                   dataset_->IdHorizon(), m, deferred, answer_bits);
+  ExecuteReadSlice(g, kind, csm, m, deferred, answer_bits);
 }  // ===== engine shared lock released =====================================
-
-void GraphCachePlus::ReadPhaseEpoch(const Graph& g, QueryKind kind,
-                                    QueryMetrics& m, Deferred& deferred,
-                                    DynamicBitset& answer_bits) {
-  // ===== Read phase (epoch pin — no engine lock anywhere) ================
-  EpochManager::Guard guard;
-  const EngineSnapshot* snap = nullptr;
-  for (;;) {
-    guard = epochs_.Pin();
-    snap = snapshot_.load(std::memory_order_seq_cst);
-    // Out-of-band serial mutation support: callers that mutate the
-    // dataset directly between queries (no ApplyDatasetChanges) leave the
-    // snapshot stale. Detect via the log's atomic tail and republish —
-    // the epoch-path equivalent of the lock path's sync upgrade, billed
-    // to the same validation bucket.
-    if (dataset_->log().LatestSeq() == snap->watermark) break;
-    // Stale. Either a single-threaded caller mutated the dataset
-    // directly (we must republish before reading), or a concurrent
-    // ApplyDatasetChanges is mid-publish — then the mutex is held, and
-    // reading the still-current snapshot is the linearizable outcome
-    // for a query concurrent with that mutation: keep flowing, don't
-    // block behind the mutator.
-    std::unique_lock<std::mutex> lock(mutation_mu_, std::try_to_lock);
-    if (!lock.owns_lock()) break;
-    guard.Release();
-    PublishAndReconcile(&m);
-  }
-
-  DynamicBitset csm;
-  if (snap->has_ftv) {
-    ScopedTimer timer(&m.t_index_ns);
-    csm = FtvIndex::CandidateSetOver(
-        *snap->ftv_summaries, snap->live, GraphFeatures::Extract(g),
-        kind == QueryKind::kSubgraph ? FtvQueryDirection::kSubgraph
-                                     : FtvQueryDirection::kSupergraph);
-  } else {
-    csm = snap->live;
-  }
-
-  ExecuteReadSlice(g, kind, csm, snap, snap->watermark, snap->id_horizon, m,
-                   deferred, answer_bits);
-}  // ===== epoch unpinned on guard destruction =============================
 
 QueryResult GraphCachePlus::Query(const Graph& g, QueryKind kind) {
   QueryResult result;
@@ -1315,11 +1010,7 @@ QueryResult GraphCachePlus::Query(const Graph& g, QueryKind kind) {
   Deferred deferred;
 
   DynamicBitset answer_bits;
-  if (options_.epoch_reads) {
-    ReadPhaseEpoch(g, kind, m, deferred, answer_bits);
-  } else {
-    ReadPhaseLocked(g, kind, m, deferred, answer_bits);
-  }
+  ReadPhase(g, kind, m, deferred, answer_bits);
 
   result.answer.reserve(answer_bits.Count());
   answer_bits.ForEachSetBit([&result](std::size_t id) {
@@ -1328,14 +1019,10 @@ QueryResult GraphCachePlus::Query(const Graph& g, QueryKind kind) {
 
   // ===== Maintenance hand-off ============================================
   if (!deferred.empty()) {
-    // Lock path: the engine shared lock spans the hand-off exactly as in
-    // PR 4. Epoch path: no engine lock — queues are MPSC-safe and drains
-    // pin their own epoch.
-    std::shared_lock<std::shared_mutex> read_lock(mu_, std::defer_lock);
-    if (!options_.epoch_reads) {
-      read_lock.lock();
-      engine_lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
-    }
+    // The engine shared lock spans the hand-off: the drains below read
+    // the dataset and the watermark.
+    std::shared_lock<std::shared_mutex> read_lock(mu_);
+    engine_lock_acquisitions_.fetch_add(1, std::memory_order_relaxed);
     for (auto& [s, batch] : deferred) {
       std::size_t size_after = 0;
       if (pending_[s]->TryPush(std::move(batch), &size_after)) {
@@ -1362,7 +1049,7 @@ QueryResult GraphCachePlus::Query(const Graph& g, QueryKind kind) {
         }
       } else {
         // Backpressure: shard s's bounded queue is full — drain inline,
-        // then apply this query's own rejected batch under the same env.
+        // then apply this query's own rejected batch under the same lock.
         backpressure_inline_drains_.fetch_add(1, std::memory_order_relaxed);
         if (pressure_ != nullptr) {
           // A full queue is the strongest queue-pressure signal.

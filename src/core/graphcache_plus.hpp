@@ -15,40 +15,24 @@
 // executed query enters the admission window and replacement may run —
 // accounted as maintenance overhead, off the query's critical path.
 //
-// Concurrency (PR 5): two read-path admission-control modes share one
-// engine.
+// Concurrency: one read path, the paper's per-query flow under two lock
+// levels. The ENGINE lock (mu_) guards the dataset, the change-log
+// watermark and the FTV index. A read phase holds it shared; when the
+// change log has moved past the watermark (or the FTV index lags) it
+// first upgrades to the stop-the-world barrier — engine exclusive plus
+// every shard lock — drains queued maintenance and reconciles (EVI:
+// purge; CON: Algorithms 1 + 2), then reads. Dataset mutations, flushes
+// and snapshot restores take the same barrier.
 //
-//   LOCK PATH (options.epoch_reads == false — the PR 4 engine, preserved
-//   bit-exactly as the equivalence oracle): the ENGINE lock (mu_) guards
-//   the dataset, the change-log watermark and the FTV index. Read phases
-//   hold it shared; dataset mutations, syncs and snapshot restores hold
-//   it exclusive together with every shard lock (stop-the-world).
-//
-//   EPOCH PATH (options.epoch_reads == true): the engine publishes an
-//   immutable EngineSnapshot (core/engine_snapshot.hpp — watermark, live
-//   mask, copy-on-write graph table, label histogram, chained change
-//   records, FTV summary view) through one atomic pointer. A query read
-//   phase pins an epoch (common/epoch.hpp), loads the snapshot and runs
-//   entirely against it — engine-lock acquisitions on the read path are
-//   ZERO (counted, and asserted zero by the epoch stress suite). A
-//   dataset mutation serializes on mutation_mu_, applies the change,
-//   publishes the successor snapshot, retires the predecessor to the
-//   epoch manager (freed after a grace period), and then reconciles
-//   CON/EVI validity shard-by-shard under per-shard exclusive locks — no
-//   stop-the-world barrier, readers on the old snapshot keep flowing. A
-//   shard whose watermark lags a reader's snapshot is simply skipped by
-//   that reader's discovery (fewer hits, never a wrong answer); drains
-//   fast-forward a lagging shard before applying batches.
-//
-// In BOTH modes the cache stores are partitioned into N digest-sharded
-// CacheManager stores (cache/sharded_cache.hpp), each behind its own
-// shared_mutex, and hit discovery is shard-local: the read phase visits
-// shards one at a time (one shared lock each), runs the per-shard
-// utility/cap prescreen and COPIES the survivors, then merges, orders and
-// verifies them with no lock held (hit selection is shard-layout-
-// independent — ties break on WL digest then entry id). A maintenance
-// drain takes exactly ONE shard lock exclusive, so a drain on shard k
-// never blocks discovery or drains on shard j.
+// The cache stores are partitioned into N digest-sharded CacheManager
+// stores (cache/sharded_cache.hpp), each behind its own shared_mutex, and
+// hit discovery is shard-local: the read phase visits shards one at a
+// time (one shared lock each), runs the per-shard utility/cap prescreen
+// and COPIES the survivors, then merges, orders and verifies them with no
+// shard lock held (hit selection is shard-layout-independent — ties break
+// on WL digest then entry id). A maintenance drain takes exactly ONE
+// shard lock exclusive, so a drain on shard k never blocks discovery or
+// drains on shard j.
 //
 // Deferred mutations (id-based hit credits, watermark-stamped admission
 // offers) are routed by entry digest to per-shard bounded MPSC queues.
@@ -56,22 +40,20 @@
 // (b) on the dedicated maintenance thread (options.maintenance_thread)
 // woken by queue pressure or a timer, and (c) inline under backpressure
 // when a shard queue is full.
-// Invariants (PR 2's, preserved per shard):
+// Invariants (per shard):
 //   1. Answers are exact: a read phase observes a dataset+cache state
-//      that is internally consistent — on the lock path via the recheck
-//      loop that re-syncs before reading; on the epoch path because a
-//      snapshot is immutable and only same-watermark shards contribute
-//      hits — and cache contents only ever prune or transfer — never
+//      that is internally consistent (the recheck loop re-syncs before
+//      reading), and cache contents only ever prune or transfer — never
 //      alter — the answer (Theorems 3/6).
 //   2. Deferred knowledge is never admitted as fresher than it is: an
 //      admission offer carries the watermark its answer was computed at;
 //      at drain time a stale offer is forward-validated through
-//      Algorithms 1+2 (CON) or dropped (EVI), per shard, against that
-//      shard's own watermark.
+//      Algorithms 1+2 (CON) or dropped (EVI).
 //   3. Dataset mutations go through ApplyDatasetChanges once queries run
-//      concurrently, making every change atomic w.r.t. read phases.
-// Lock order: engine lock (lock path) / mutation_mu_ (epoch path) before
-// shard locks; shard locks in ascending index order; never the reverse.
+//      concurrently or a maintenance thread drains, making every change
+//      atomic w.r.t. read phases and drains.
+// Lock order: engine lock before shard locks; shard locks in ascending
+// index order; never the reverse.
 
 #ifndef GCP_CORE_GRAPHCACHE_PLUS_HPP_
 #define GCP_CORE_GRAPHCACHE_PLUS_HPP_
@@ -90,11 +72,9 @@
 #include "cache/cache_manager.hpp"
 #include "cache/sharded_cache.hpp"
 #include "cache/snapshot.hpp"
-#include "common/epoch.hpp"
 #include "common/maintenance_thread.hpp"
 #include "common/mpsc_queue.hpp"
 #include "common/thread_pool.hpp"
-#include "core/engine_snapshot.hpp"
 #include "core/method_m.hpp"
 #include "core/metrics.hpp"
 #include "core/options.hpp"
@@ -114,8 +94,8 @@ struct QueryResult {
 /// \brief The GC+ caching system.
 class GraphCachePlus {
  public:
-  /// `dataset` must outlive the instance. Changes to the dataset between
-  /// queries are picked up through its change log.
+  /// `dataset` must outlive the instance. Changes to the dataset are
+  /// picked up through its change log at the start of the next query.
   GraphCachePlus(GraphDataset* dataset, GraphCachePlusOptions options);
 
   /// Stops the maintenance thread (if any); queued-but-undrained batches
@@ -133,18 +113,16 @@ class GraphCachePlus {
   }
 
   /// Executes a query of the given kind. Thread-safe: any number of
-  /// threads may query one instance concurrently, provided concurrent
-  /// dataset mutations go through ApplyDatasetChanges.
+  /// threads may query one instance concurrently, provided dataset
+  /// mutations go through ApplyDatasetChanges.
   QueryResult Query(const Graph& g, QueryKind kind);
 
-  /// Runs `fn(dataset)` atomically w.r.t. concurrent read phases, after
-  /// draining pending maintenance. Lock path: the stop-the-world barrier
-  /// (engine exclusive + every shard lock). Epoch path: serializes on the
-  /// mutation mutex, mutates, publishes the successor snapshot, retires
-  /// the predecessor and reconciles shard-by-shard — concurrent readers
-  /// keep flowing on the old snapshot throughout. The only safe way to
-  /// mutate the dataset while queries are in flight (single-threaded
-  /// callers may keep mutating the dataset directly between queries).
+  /// Runs `fn(dataset)` under the stop-the-world barrier (engine
+  /// exclusive + every shard lock), after draining pending maintenance;
+  /// the next query reconciles the change with the cache. A caller may
+  /// mutate the dataset directly between queries only while no other
+  /// thread queries and no maintenance thread runs; otherwise every
+  /// mutation must go through here.
   void ApplyDatasetChanges(const std::function<void(GraphDataset&)>& fn);
 
   /// Drains every queued maintenance batch on every shard, bringing the
@@ -162,26 +140,29 @@ class GraphCachePlus {
   AggregateMetrics AggregateSnapshot() const;
 
   /// Persists the warm cache (entries + the change-log watermark they are
-  /// consistent with). A later process over the same dataset lineage can
-  /// LoadCache and skip the cold start. Queued-but-undrained admissions
-  /// are not part of the snapshot (call FlushMaintenance first to include
-  /// them).
+  /// consistent with) as one crash-safe checkpoint file at `path`
+  /// (cache/checkpoint.hpp — the format CheckpointNow writes). A later
+  /// process over the same dataset lineage can LoadCache and skip the
+  /// cold start. Queued-but-undrained admissions are not part of the
+  /// snapshot (call FlushMaintenance first to include them).
   Status SaveCache(const std::string& path) const;
 
   /// Restores a snapshot saved by SaveCache (entries re-routed to their
   /// digest's home shard). The dataset's change log must still contain
   /// every record after the snapshot's watermark; the incremental suffix
-  /// is reconciled through Algorithms 1+2 for CON (purge for EVI) — on
-  /// the next query (lock path) or immediately per shard (epoch path) —
-  /// so stale snapshots remain exact.
+  /// is reconciled through Algorithms 1+2 for CON (purge for EVI) on the
+  /// next query, so stale snapshots remain exact. A truncated or
+  /// corrupt file is rejected (Corruption) before any state changes.
   Status LoadCache(const std::string& path);
 
   // --- Durability (crash-safe checkpoints + verified warm restart) --------
 
   /// Copies the full warm-cache state (entries + the watermark and id
   /// horizon they are consistent with) — the payload SaveCache and
-  /// CheckpointNow persist. Thread-safe; queries keep flowing (shard
-  /// locks are held shared, plus mutation_mu_ on the epoch path).
+  /// CheckpointNow persist. Dataset changes not yet reconciled stay out
+  /// of the copy; the restoring engine's next query replays them.
+  /// Thread-safe; queries keep flowing during the copy (the engine and
+  /// shard locks are held shared).
   /// ResourceExhausted when the allocation-fault injector refused the
   /// export (nothing is copied; the resident state is untouched).
   Result<CacheSnapshot> ExportSnapshot() const;
@@ -189,8 +170,9 @@ class GraphCachePlus {
   /// Installs `snapshot` as the resident cache state — the LoadCache body
   /// after the file read: lineage-validated (FailedPrecondition when the
   /// watermark or horizon outruns this dataset), entries re-routed to
-  /// their digest's home shard, then fast-forwarded from the snapshot's
-  /// watermark through CON replay / EVI purge. Thread-safe.
+  /// their digest's home shard; the next query's sync fast-forwards them
+  /// from the snapshot's watermark through CON replay / EVI purge.
+  /// Thread-safe.
   Status ApplySnapshot(CacheSnapshot snapshot);
 
   /// Writes one durable checkpoint into options().checkpoint_dir — encode
@@ -230,8 +212,8 @@ class GraphCachePlus {
   const ShardedCache& cache_shards() const { return cache_; }
 
   /// Thread-safe cross-shard sum of the cache statistics counters, with
-  /// the engine-level epoch counters (snapshots_published, epochs_retired,
-  /// read_phase_engine_lock_acquisitions) overlaid.
+  /// the engine-level counters (read_phase_engine_lock_acquisitions,
+  /// durability, overload) overlaid.
   StatisticsManager CacheStatsSnapshot() const;
 
   /// The maintenance thread, or nullptr when options().maintenance_thread
@@ -240,17 +222,10 @@ class GraphCachePlus {
     return maintenance_.get();
   }
 
-  /// Engine-lock acquisitions made by query paths since construction —
-  /// zero under options().epoch_reads.
+  /// Engine-lock acquisitions made by query paths since construction.
   std::uint64_t read_phase_engine_lock_acquisitions() const {
     return engine_lock_acquisitions_.load(std::memory_order_relaxed);
   }
-  /// EngineSnapshots published (epoch path; 0 on the lock path).
-  std::uint64_t snapshots_published() const {
-    return snapshots_published_.load(std::memory_order_relaxed);
-  }
-  /// The epoch manager (grace-period counters; introspection for tests).
-  const EpochManager& epoch_manager() const { return epochs_; }
 
   /// The overload pressure monitor, or nullptr when options().byte_budget
   /// is 0. Exposed mutable so torture tests can drive deterministic tier
@@ -311,88 +286,63 @@ class GraphCachePlus {
     std::vector<AdmissionOffer> fragment_offers;
   };
 
-  /// Context a drain applies batches under. Legacy (lock-path) drains
-  /// leave `live`/`snap` null and read the dataset under the engine lock
-  /// exactly as PR 4 did; epoch drains carry the snapshot's live mask and
-  /// record segments so they never touch the dataset.
-  struct DrainEnv {
-    /// Staleness reference: the watermark the target store's validity
-    /// state is reconciled to (engine watermark on the lock path, shard
-    /// watermark == snapshot watermark on the epoch path).
-    LogSeq watermark = 0;
-    /// Live mask for the twin lookup's full-validity test; nullptr →
-    /// recompute from the dataset per offer (the lock path's oracle).
-    const DynamicBitset* live = nullptr;
-    /// Record source for forward validation; nullptr → the change log.
-    const EngineSnapshot* snap = nullptr;
-  };
-
   /// True when the next read phase must not start yet: the change log
   /// moved past the cache watermark, or the FTV index lags. Requires at
-  /// least the engine shared lock. Lock path only.
+  /// least the engine shared lock.
   bool NeedsSyncLocked() const;
 
   /// Dataset Manager sync: reconcile unprocessed change-log records with
   /// the cache (Algorithms 1 + 2 for CON; full purge for EVI), then bring
-  /// the FTV index up to date. Requires the engine exclusive lock; takes
-  /// every shard lock (stop-the-world). Lock path only.
+  /// the FTV index up to date. Requires the engine exclusive lock and
+  /// every shard lock (stop-the-world).
   void SyncWithDatasetLocked(QueryMetrics* metrics);
 
-  // --- Read phases --------------------------------------------------------
+  // --- Read phase ---------------------------------------------------------
 
   using Deferred = std::vector<std::pair<std::size_t, PendingMaintenance>>;
 
-  /// Lock-path read phase: engine shared lock + sync recheck loop, then
-  /// the shared read slice. Bumps engine_lock_acquisitions_ per mu_
-  /// acquisition.
-  void ReadPhaseLocked(const Graph& g, QueryKind kind, QueryMetrics& m,
-                       Deferred& deferred, DynamicBitset& answer_bits);
+  /// The read phase: engine shared lock + sync recheck loop, then the
+  /// twin lookup (an exact hit ends the phase), shard-local discovery
+  /// (one shared shard lock at a time), pruning, the fragment tier,
+  /// credit extraction, Method M verification and admission-offer
+  /// preparation. Bumps engine_lock_acquisitions_ per mu_ acquisition.
+  void ReadPhase(const Graph& g, QueryKind kind, QueryMetrics& m,
+                 Deferred& deferred, DynamicBitset& answer_bits);
 
-  /// Epoch-path read phase: pin, load snapshot, republish-if-stale (only
-  /// out-of-band serial mutations trigger that), then the shared read
-  /// slice against the snapshot. Never touches mu_.
-  void ReadPhaseEpoch(const Graph& g, QueryKind kind, QueryMetrics& m,
-                      Deferred& deferred, DynamicBitset& answer_bits);
-
-  /// The mode-independent read slice: the twin lookup (an exact hit
-  /// ends the slice), then shard-local discovery (one shared shard lock
-  /// at a time; epoch mode skips shards whose watermark is not
-  /// `watermark`), pruning, the fragment tier, credit extraction, Method
-  /// M verification, and admission-offer preparation. `snap` null on the
-  /// lock path.
+  /// The read phase after the sync: everything from the twin lookup on,
+  /// over the Method M candidate set `csm`. Requires the engine shared
+  /// lock.
   void ExecuteReadSlice(const Graph& g, QueryKind kind,
-                        const DynamicBitset& csm, const EngineSnapshot* snap,
-                        LogSeq watermark, std::size_t id_horizon,
-                        QueryMetrics& m, Deferred& deferred,
-                        DynamicBitset& answer_bits);
+                        const DynamicBitset& csm, QueryMetrics& m,
+                        Deferred& deferred, DynamicBitset& answer_bits);
 
   // --- Maintenance --------------------------------------------------------
+  //
+  // Every drain runs under the engine lock (shared suffices), so the
+  // dataset, its change log and watermark_ — the watermark every store is
+  // reconciled to — hold still while batches apply.
 
-  /// Pops shard `s`'s queue and applies it under `env` — credits summed
-  /// per entry, offers deduped/refreshed/admitted, replacement at
-  /// most once. Requires shard `s`'s exclusive lock (plus, on the lock
-  /// path, the engine lock).
-  void DrainShardLocked(std::size_t s, const DrainEnv& env);
+  /// Pops shard `s`'s queue and applies it — credits summed per entry,
+  /// offers deduped/refreshed/admitted, replacement at most once.
+  /// Requires the engine lock and shard `s`'s exclusive lock.
+  void DrainShardLocked(std::size_t s);
 
   /// Applies already-popped batches (the tail of DrainShardLocked, also
   /// used by the backpressure path for the caller's own batch).
   void ApplyBatchesLocked(std::size_t s,
-                          std::span<PendingMaintenance> batches,
-                          const DrainEnv& env);
+                          std::span<PendingMaintenance> batches);
 
   /// Per-shard drain entry point for the post-query and maintenance-
-  /// thread paths. Lock path: engine shared lock held by the caller;
-  /// takes shard `s`'s exclusive lock under a DrainScope. Epoch path:
-  /// pins an epoch, fast-forwards the shard to the current snapshot's
-  /// watermark if it lags, then drains. With `try_lock`, gives up
-  /// (returns false) when the shard lock is contended. `extra`
-  /// (nullable) is one additional batch applied after the queue — the
-  /// backpressure path's own rejected batch.
+  /// thread paths: the caller holds the engine lock (shared suffices);
+  /// takes shard `s`'s exclusive lock under a DrainScope. With
+  /// `try_lock`, gives up (returns false) when the shard lock is
+  /// contended. `extra` (nullable) is one additional batch applied after
+  /// the queue — the backpressure path's own rejected batch.
   bool DrainShard(std::size_t s, bool try_lock,
                   PendingMaintenance* extra = nullptr);
 
-  /// Drains every shard under the engine exclusive lock (lock-path
-  /// stop-the-world: sync, dataset change, flush, restore).
+  /// Drains every shard under the stop-the-world barrier (sync, dataset
+  /// change, flush, restore).
   void DrainAllShardsLocked();
 
   /// Maintenance-thread body: drain every shard with a non-empty queue,
@@ -423,38 +373,18 @@ class GraphCachePlus {
   /// valid over the live dataset is resident (dedup), merged into an
   /// isomorphic twin that is not (refresh), and admitted otherwise; stale
   /// offers are forward-validated first (CON) or dropped (EVI). Requires
-  /// shard `s`'s exclusive lock.
-  void ApplyMaintenanceLocked(std::size_t s, PendingMaintenance& batch,
-                              const DrainEnv& env);
+  /// the engine lock and shard `s`'s exclusive lock.
+  void ApplyMaintenanceLocked(std::size_t s, PendingMaintenance& batch);
 
   /// CON forward validation of an offer computed at `observed`: Algorithms
-  /// 1 + 2 over the change records between `observed` and env.watermark,
-  /// so the offer sits at the store's watermark. Requires the target
-  /// shard's exclusive lock.
-  void ForwardValidateLocked(CachedQuery& entry, LogSeq observed,
-                             const DrainEnv& env) const;
-
-  // --- Epoch path ---------------------------------------------------------
-
-  /// Publishes the successor snapshot for the dataset's current state and
-  /// reconciles every shard to it (per-shard exclusive locks, one at a
-  /// time: drain pending batches at the shard's old watermark, then EVI
-  /// purge / CON ValidateAll + optional retrospective refresh, then
-  /// advance the shard watermark). No-op when nothing changed. Requires
-  /// mutation_mu_. `metrics` (nullable) receives validation/index time.
-  void PublishAndReconcile(QueryMetrics* metrics);
-
-  /// Brings shard `s` from its watermark to `snap`'s (EVI: purge; CON:
-  /// Algorithms 1+2 over the snapshot's record segments). Requires shard
-  /// `s`'s exclusive lock. `retro_budget` (nullable) enables the §8
-  /// retrospective refresh — mutator context only (reads the dataset).
-  void ReconcileShardLocked(std::size_t s, const EngineSnapshot& snap,
-                            std::size_t* retro_budget);
+  /// 1 + 2 over the change records between `observed` and watermark_, so
+  /// the offer sits at the store's watermark. Requires the engine lock and
+  /// the target shard's exclusive lock.
+  void ForwardValidateLocked(CachedQuery& entry, LogSeq observed) const;
 
   /// §8 future-work extension, one shard's slice: re-verify up to
   /// `*budget` invalidated (entry, live graph) pairs, restoring validity
-  /// with fresh knowledge. Requires shard `s`'s exclusive lock and a
-  /// quiescent dataset (mutator context / stop-the-world).
+  /// with fresh knowledge. Requires the stop-the-world barrier.
   void RetrospectiveRefreshShard(std::size_t s, const DynamicBitset& live,
                                  std::size_t* budget);
 
@@ -462,14 +392,12 @@ class GraphCachePlus {
   /// options_.delta_revalidation): for every (entry, graph) pair
   /// Algorithm 2 would invalidate, keep the bit when the batch's
   /// edge-label-pair delta proves the relation unchanged, else re-verify
-  /// the pair against the batch-target graph state (FTV-summary
-  /// prescreen, then one containment check) and rewrite answer/valid.
-  /// `graph_of` resolves ids to the target state (nullptr = dead there);
-  /// `summary_of` optionally resolves target-state FTV summaries.
+  /// the pair against the dataset's current (batch-target) graph state —
+  /// FTV-summary prescreen when the index is in sync, then one
+  /// containment check — and rewrite answer/valid. Requires the
+  /// stop-the-world barrier for as long as the hook is used.
   CacheValidator::DeltaRevalidateFn MakeDeltaRevalidator(
-      const std::vector<ChangeRecord>& records,
-      std::function<const Graph*(GraphId)> graph_of,
-      std::function<const GraphFeatures*(GraphId)> summary_of) const;
+      const std::vector<ChangeRecord>& records) const;
 
   /// CON-validates one shard's store against `counters`: through the
   /// change-relevance index (options_.use_relevance_index) or the
@@ -487,24 +415,21 @@ class GraphCachePlus {
   std::unique_ptr<SubgraphMatcher> internal_matcher_;
   HitDiscovery discovery_;
 
-  /// Engine lock (lock path): guards watermark_, ftv_ mutation and the
-  /// dataset. Read phases hold it shared; sync/dataset changes exclusive.
-  /// Always taken before any shard lock. Unused on the epoch path.
+  /// Engine lock: guards watermark_, synced_horizon_, ftv_ mutation and
+  /// the dataset. Read phases and drains hold it shared; sync/dataset
+  /// changes exclusive. Always taken before any shard lock.
   mutable std::shared_mutex mu_;
   /// Overload pressure monitor — created iff options.byte_budget > 0, fed
   /// by every shard store's byte accounting and the queue hand-off.
   /// Declared before cache_: the shard stores hold the raw pointer.
   std::unique_ptr<PressureMonitor> pressure_;
   ShardedCache cache_;
+  /// Change-log position every store's validity state is reconciled to.
   LogSeq watermark_ = 0;
+  /// The dataset's id horizon at that position: the width of every
+  /// resident entry and fragment (a reconcile widens them all to it).
+  std::size_t synced_horizon_ = 0;
 
-  /// Epoch path: current snapshot (null on the lock path), its epoch
-  /// manager, and the mutator serialization lock.
-  std::atomic<const EngineSnapshot*> snapshot_{nullptr};
-  EpochManager epochs_;
-  std::mutex mutation_mu_;
-
-  std::atomic<std::uint64_t> snapshots_published_{0};
   std::atomic<std::uint64_t> engine_lock_acquisitions_{0};
 
   /// Per-shard maintenance queues: read phases enqueue batches routed by

@@ -18,8 +18,6 @@
 
 namespace gcp {
 
-struct EngineSnapshot;
-
 /// Direction of a graph-pattern query.
 enum class QueryKind {
   kSubgraph,    ///< Return dataset graphs G with query ⊆ G.
@@ -45,15 +43,6 @@ class MethodM {
   DynamicBitset VerifyCandidates(const Graph& query, QueryKind kind,
                                  const DynamicBitset& candidates,
                                  std::uint64_t* tests_run = nullptr) const;
-
-  /// Like VerifyCandidates, but reads candidate graphs and the global
-  /// label histogram from an immutable EngineSnapshot instead of the live
-  /// dataset — the epoch read path, safe to run concurrently with dataset
-  /// mutations without any lock.
-  DynamicBitset VerifyCandidatesOn(const EngineSnapshot& snap,
-                                   const Graph& query, QueryKind kind,
-                                   const DynamicBitset& candidates,
-                                   std::uint64_t* tests_run = nullptr) const;
 
   const SubgraphMatcher& matcher() const { return *matcher_; }
   MatcherKind kind() const { return kind_; }

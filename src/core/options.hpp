@@ -139,18 +139,6 @@ struct GraphCachePlusOptions {
   /// drains inline.
   std::size_t maintenance_queue_capacity = 64;
 
-  /// Epoch-protected read path: the engine publishes an immutable
-  /// EngineSnapshot (dataset version, watermark, live mask, graphs, FTV
-  /// view) through one atomic pointer; query read phases pin an epoch and
-  /// read the snapshot instead of taking the engine lock — engine-lock
-  /// acquisitions on the read path drop to zero. Dataset mutations apply
-  /// the change, publish the successor snapshot, retire the predecessor
-  /// under a grace period, and reconcile CON/EVI validity shard-by-shard
-  /// under per-shard exclusive locks (no stop-the-world barrier). Off
-  /// preserves the PR 4 lock path bit-exactly (same answers and
-  /// replacement decisions) — the equivalence oracle.
-  bool epoch_reads = false;
-
   /// Number of digest-sharded cache stores. Each shard owns its slice of
   /// the entries, inverted postings, statistics and replacement state
   /// under its own reader/writer lock, so a maintenance drain on one

@@ -22,8 +22,7 @@
 // exclusive shard lock, so sharing them would race) but SHARE ownership
 // of the immutable query graph — the shared_ptr grabbed under the shard
 // lock keeps the graph alive even if the entry is evicted before
-// verification runs, the same grace-period guarantee the EpochManager
-// gives snapshot graphs. No resident-entry pointer ever escapes a shard
+// verification runs. No resident-entry pointer ever escapes a shard
 // lock. ResolveHits then merges the per-shard survivor lists, applies
 // the single global utility ordering (ties on WL digest, then entry id —
 // hit selection is shard-layout-independent), and runs containment

@@ -37,9 +37,9 @@ class ChangeLog {
                 VertexId v = 0);
 
   /// Sequence number of the newest record; 0 when the log is empty.
-  /// Safe to call concurrently with Append (the epoch read path probes it
-  /// to detect out-of-band serial mutations); every other accessor still
-  /// requires external synchronization against appends.
+  /// Safe to call concurrently with Append (an atomic tail, so a reader
+  /// may probe whether the log moved without locking it); every other
+  /// accessor still requires external synchronization against appends.
   LogSeq LatestSeq() const {
     return next_seq_.load(std::memory_order_acquire) - 1;
   }

@@ -39,12 +39,10 @@ enum class FtvQueryDirection {
 
 /// \brief Incrementally-maintained feature index over a GraphDataset.
 ///
-/// The summary table is copy-on-write: it lives behind a shared immutable
-/// vector that engine snapshots alias for free, and a mutating
-/// SyncWithDataset republishes a fresh vector (one clone per FTV-mutating
+/// The summary table is copy-on-write: a mutating SyncWithDataset clones
+/// it, updates the clone and swaps it in (one clone per FTV-mutating
 /// batch — counted by summary_copies() and surfaced as the engine's
-/// snapshot_summary_copies statistic). Publishing a snapshot never copies
-/// summaries.
+/// snapshot_summary_copies statistic).
 class FtvIndex {
  public:
   using SummaryVec = std::vector<std::optional<GraphFeatures>>;
@@ -78,27 +76,12 @@ class FtvIndex {
   /// The per-graph-id summaries (holes for deleted ids).
   const SummaryVec& summaries() const { return *summaries_; }
 
-  /// Shared immutable view of the summaries — aliased (not copied) into
-  /// the engine's snapshots so the epoch read path can filter without
-  /// touching the index or the dataset. Stable across non-mutating syncs.
-  std::shared_ptr<const SummaryVec> shared_summaries() const {
-    return summaries_;
-  }
-
   /// Number of copy-on-write clones of the summary vector performed so
-  /// far — exactly one per FTV-mutating SyncWithDataset batch, never one
-  /// per published snapshot. Readable without the engine lock.
+  /// far — exactly one per FTV-mutating SyncWithDataset batch. Readable
+  /// without the engine lock.
   std::uint64_t summary_copies() const {
     return summary_copies_.load(std::memory_order_relaxed);
   }
-
-  /// Candidate set over an exported summary view: same filter as
-  /// CandidateSet, but reading `summaries` and the `live` mask instead of
-  /// the backing dataset (lock-free snapshot path). Returns a bitset over
-  /// [0, live.size()).
-  static DynamicBitset CandidateSetOver(
-      const SummaryVec& summaries, const DynamicBitset& live,
-      const GraphFeatures& query_features, FtvQueryDirection direction);
 
  private:
   void IndexGraph(SummaryVec& into, GraphId id) const;
@@ -106,7 +89,7 @@ class FtvIndex {
   const GraphDataset* dataset_;
   LogSeq watermark_ = 0;
   /// Per-graph-id feature summaries; holes for deleted ids. Immutable
-  /// once published here; mutations clone (COW) and swap the pointer.
+  /// once installed here; mutations clone (COW) and swap the pointer.
   std::shared_ptr<const SummaryVec> summaries_;
   std::atomic<std::uint64_t> summary_copies_{0};
 };

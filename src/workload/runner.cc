@@ -28,10 +28,21 @@ std::uint64_t ResidentBytes(const StatisticsManager& stats) {
   return stats.approx_graph_bytes + stats.approx_bitset_bytes;
 }
 
+/// Fires every plan batch due at query `i` through ApplyDatasetChanges.
+/// Never by mutating the dataset directly, not even in a serial loop: a
+/// maintenance thread's drains read the dataset meanwhile.
+void FireDueBatches(GraphCachePlus& gc, ChangePlanExecutor& executor,
+                    std::size_t i) {
+  if (executor.NextBatchAt() > i) return;
+  gc.ApplyDatasetChanges([&executor, i](GraphDataset&) {
+    executor.AdvanceTo(static_cast<std::uint32_t>(i));
+  });
+}
+
 /// N client threads pull query tickets from a shared counter; whichever
-/// thread draws a query with a due change batch fires it through
-/// ApplyDatasetChanges (exclusive lock) before querying. `answers` must be
-/// pre-sized: each slot is written by exactly one thread.
+/// thread draws a query with a due change batch fires it (exclusive
+/// lock) before querying. `answers` must be pre-sized: each slot is
+/// written by exactly one thread.
 void RunClientsConcurrently(GraphCachePlus& gc, const Workload& workload,
                             ChangePlanExecutor& executor,
                             const RunnerConfig& config, std::size_t first,
@@ -43,11 +54,7 @@ void RunClientsConcurrently(GraphCachePlus& gc, const Workload& workload,
          i = ticket.fetch_add(1)) {
       {
         std::lock_guard<std::mutex> lock(plan_mu);
-        if (executor.NextBatchAt() <= i) {
-          gc.ApplyDatasetChanges([&executor, i](GraphDataset&) {
-            executor.AdvanceTo(static_cast<std::uint32_t>(i));
-          });
-        }
+        FireDueBatches(gc, executor, i);
       }
       QueryResult r = gc.Query(workload.queries[i].query, config.query_kind);
       if (answers != nullptr) (*answers)[i] = std::move(r.answer);
@@ -78,7 +85,6 @@ RunReport RunWorkload(const std::vector<Graph>& initial,
   opts.verify_threads = config.verify_threads;
   opts.num_shards = config.shards;
   opts.maintenance_thread = config.maintenance_thread;
-  opts.epoch_reads = config.epoch_reads;
   opts.copy_discovery_survivors = config.copy_discovery_survivors;
   opts.max_sub_hits = config.max_sub_hits;
   opts.max_super_hits = config.max_super_hits;
@@ -133,7 +139,7 @@ RunReport RunWorkload(const std::vector<Graph>& initial,
   Stopwatch measured_wall;
   if (config.client_threads <= 1) {
     for (std::size_t i = 0; i < workload.size(); ++i) {
-      executor.AdvanceTo(static_cast<std::uint32_t>(i));
+      FireDueBatches(gc, executor, i);
       QueryResult r = gc.Query(workload.queries[i].query, config.query_kind);
       if (answers != nullptr) (*answers)[i] = std::move(r.answer);
       if (config.track_peak_resident_bytes) {
@@ -150,7 +156,7 @@ RunReport RunWorkload(const std::vector<Graph>& initial,
     // Warm-up stays serial so every configuration starts its measured span
     // from the same deterministic warm cache.
     for (std::size_t i = 0; i < warmup; ++i) {
-      executor.AdvanceTo(static_cast<std::uint32_t>(i));
+      FireDueBatches(gc, executor, i);
       QueryResult r = gc.Query(workload.queries[i].query, config.query_kind);
       if (answers != nullptr) (*answers)[i] = std::move(r.answer);
     }

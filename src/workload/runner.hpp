@@ -57,11 +57,6 @@ struct RunnerConfig {
   /// Drain maintenance on a dedicated thread (queue-pressure/timer
   /// wakeups) instead of opportunistic post-query try-lock drains.
   bool maintenance_thread = false;
-  /// Epoch-protected read path: read phases pin an epoch and read an
-  /// immutable published snapshot instead of taking the engine lock;
-  /// dataset changes publish + retire instead of stopping the world. Off
-  /// (default) is the PR 4 lock path — bit-exact, the equivalence oracle.
-  bool epoch_reads = false;
   /// Deep-copy each discovery survivor's Graph under the shard lock
   /// instead of sharing ownership (the pre-PR 6 behaviour; the "before"
   /// side of the copy-costs bench and the sharing equivalence oracle).

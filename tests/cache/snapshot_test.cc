@@ -196,43 +196,38 @@ TEST(SnapshotTest, WarmRestartRestoresFragments) {
 
 TEST(SnapshotTest, WarmRestartRoutesRestoredKeysToHomeShards) {
   // A file carries no digests; with several shards every restored entry
-  // and fragment must still land where its lookups probe, on both read
-  // paths.
+  // and fragment must still land where its lookups probe.
   const std::vector<Graph> queries = {MakePath({0, 1}), MakePath({0, 0}),
                                       MakePath({2, 0}), MakePath({0, 0, 1}),
                                       MakePath({2, 0, 1})};
-  for (const bool epoch : {false, true}) {
-    const std::string path =
-        ::testing::TempDir() + "/gcp_snapshot_shards.txt";
-    GraphCachePlusOptions opts;
-    opts.model = CacheModel::kCon;
-    opts.num_shards = 8;
-    opts.epoch_reads = epoch;
-    {
-      GraphDataset ds;
-      ds.Bootstrap(Molecules());
-      GraphCachePlus gc(&ds, opts);
-      for (const Graph& q : queries) gc.SubgraphQuery(q);
-      gc.FlushMaintenance();
-      ASSERT_TRUE(gc.SaveCache(path).ok());
-    }
+  const std::string path = ::testing::TempDir() + "/gcp_snapshot_shards.txt";
+  GraphCachePlusOptions opts;
+  opts.model = CacheModel::kCon;
+  opts.num_shards = 8;
+  {
     GraphDataset ds;
     ds.Bootstrap(Molecules());
     GraphCachePlus gc(&ds, opts);
-    ASSERT_TRUE(gc.LoadCache(path).ok());
-    for (const Graph& q : queries) {
-      const QueryResult r = gc.SubgraphQuery(q);
-      EXPECT_TRUE(r.metrics.exact_hit) << "epoch=" << epoch;
-      EXPECT_EQ(r.metrics.si_tests, 0u);
-    }
-    // Both one-hop stars of this new pattern, (0; 1) and (0; 0, 1), were
-    // learned before the restart.
-    const QueryResult r = gc.SubgraphQuery(MakePath({1, 0, 0, 1}));
-    EXPECT_FALSE(r.metrics.exact_hit);
-    EXPECT_EQ(r.metrics.fragment_hits, 2u) << "epoch=" << epoch;
-    EXPECT_EQ(r.metrics.fragment_computed, 0u);
-    std::remove(path.c_str());
+    for (const Graph& q : queries) gc.SubgraphQuery(q);
+    gc.FlushMaintenance();
+    ASSERT_TRUE(gc.SaveCache(path).ok());
   }
+  GraphDataset ds;
+  ds.Bootstrap(Molecules());
+  GraphCachePlus gc(&ds, opts);
+  ASSERT_TRUE(gc.LoadCache(path).ok());
+  for (const Graph& q : queries) {
+    const QueryResult r = gc.SubgraphQuery(q);
+    EXPECT_TRUE(r.metrics.exact_hit);
+    EXPECT_EQ(r.metrics.si_tests, 0u);
+  }
+  // Both one-hop stars of this new pattern, (0; 1) and (0; 0, 1), were
+  // learned before the restart.
+  const QueryResult r = gc.SubgraphQuery(MakePath({1, 0, 0, 1}));
+  EXPECT_FALSE(r.metrics.exact_hit);
+  EXPECT_EQ(r.metrics.fragment_hits, 2u);
+  EXPECT_EQ(r.metrics.fragment_computed, 0u);
+  std::remove(path.c_str());
 }
 
 TEST(SnapshotTest, StaleSnapshotReconciledThroughLog) {
@@ -254,6 +249,31 @@ TEST(SnapshotTest, StaleSnapshotReconciledThroughLog) {
   // the change-log suffix before use — answer must be exact.
   const QueryResult r = gc.SubgraphQuery(MakePath({0, 1}));
   EXPECT_EQ(r.answer, (std::vector<GraphId>{0, 3}));
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, SaveBeforeReconcileKeepsEntryWidth) {
+  // A change that grows the id horizon is reconciled by the next query,
+  // not by the save: the file must record the width its entries still
+  // have, or the restore rejects it as corrupt.
+  const std::string path = ::testing::TempDir() + "/gcp_snapshot_unsynced.txt";
+  GraphCachePlusOptions opts;
+  opts.model = CacheModel::kCon;
+  GraphDataset ds;
+  ds.Bootstrap(Molecules());
+  {
+    GraphCachePlus gc(&ds, opts);
+    gc.SubgraphQuery(MakePath({0, 1}));  // answer {0,1,3}
+    gc.ApplyDatasetChanges(
+        [](GraphDataset& d) { d.AddGraph(MakePath({1, 0})); });  // id 5
+    ASSERT_TRUE(gc.SaveCache(path).ok());
+  }
+  GraphCachePlus gc(&ds, opts);
+  ASSERT_TRUE(gc.LoadCache(path).ok());
+  EXPECT_GT(gc.CacheStatsSnapshot().restored_entries, 0u);
+  // The next query replays the addition into the restored entry.
+  const QueryResult r = gc.SubgraphQuery(MakePath({0, 1}));
+  EXPECT_EQ(r.answer, (std::vector<GraphId>{0, 1, 3, 5}));
   std::remove(path.c_str());
 }
 

@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <tuple>
 
 #include "core/graphcache_plus.hpp"
 #include "../test_util.hpp"
@@ -27,14 +26,12 @@
 namespace gcp {
 namespace {
 
-GraphCachePlusOptions ParkedMaintenanceOptions(std::size_t shards,
-                                               bool epoch_reads) {
+GraphCachePlusOptions ParkedMaintenanceOptions(std::size_t shards) {
   GraphCachePlusOptions opts;
   opts.model = CacheModel::kCon;
   opts.cache_capacity = 8;
   opts.window_capacity = 4;
   opts.num_shards = shards;
-  opts.epoch_reads = epoch_reads;
   opts.maintenance_thread = true;
   // Park the drain thread: no timer tick within the test, and queues far
   // from the pressure threshold — offers stay queued until an explicit
@@ -47,13 +44,13 @@ GraphCachePlusOptions ParkedMaintenanceOptions(std::size_t shards,
 /// g0, g1 contain the A-B path; g2 (all-C path) does not and has a free
 /// non-edge (0,2) to target with a UA later.
 struct ParkedEngine {
-  ParkedEngine(std::size_t shards, bool epoch_reads) {
+  explicit ParkedEngine(std::size_t shards) {
     corpus.push_back(testing::MakePath({0, 1, 2}));  // A-B-C
     corpus.push_back(testing::MakeTriangle(0, 1, 2));
     corpus.push_back(testing::MakePath({2, 2, 2}));
     ds.Bootstrap(corpus);
-    gc = std::make_unique<GraphCachePlus>(
-        &ds, ParkedMaintenanceOptions(shards, epoch_reads));
+    gc = std::make_unique<GraphCachePlus>(&ds,
+                                          ParkedMaintenanceOptions(shards));
   }
 
   std::vector<Graph> corpus;
@@ -64,7 +61,7 @@ struct ParkedEngine {
 
 class AdmissionDedupTest : public ::testing::TestWithParam<std::size_t> {
  protected:
-  ParkedEngine e_{GetParam(), /*epoch_reads=*/false};
+  ParkedEngine e_{GetParam()};
   GraphCachePlus* const gc_ = e_.gc.get();
   const Graph& query_ = e_.query;
 };
@@ -96,9 +93,9 @@ INSTANTIATE_TEST_SUITE_P(ShardCounts, AdmissionDedupTest,
                          ::testing::Values(1u, 4u));
 
 class AdmissionDedupRefreshTest
-    : public ::testing::TestWithParam<std::tuple<std::size_t, bool>> {
+    : public ::testing::TestWithParam<std::size_t> {
  protected:
-  ParkedEngine e_{std::get<0>(GetParam()), std::get<1>(GetParam())};
+  ParkedEngine e_{GetParam()};
   GraphCachePlus* const gc_ = e_.gc.get();
   const Graph& query_ = e_.query;
 };
@@ -158,9 +155,8 @@ TEST_P(AdmissionDedupRefreshTest, StaleTwinIsRefreshedInPlace) {
   EXPECT_EQ(gc_->cache_shards().lock_violations(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(ShardsByEpoch, AdmissionDedupRefreshTest,
-                         ::testing::Combine(::testing::Values(1u, 4u),
-                                            ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(ShardCounts, AdmissionDedupRefreshTest,
+                         ::testing::Values(1u, 4u));
 
 }  // namespace
 }  // namespace gcp

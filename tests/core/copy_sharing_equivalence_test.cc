@@ -3,8 +3,8 @@
 // 1. CopySharingEquivalenceTest — over a 300-step churn of interleaved
 //    queries and dataset changes, the shipped configuration (survivors
 //    share ownership of the resident graph, thread-arena scratch, SIMD
-//    kernels at the widest detected level, on both the epoch and the
-//    lock read path) must replay the full oracle configuration
+//    kernels at the widest detected level) must replay the full oracle
+//    configuration
 //    (deep-copied survivors, plain-heap scratch, scalar kernels)
 //    bit-exactly: same answers, same resident population, same
 //    admission/eviction/hit counters.
@@ -13,7 +13,7 @@
 //    pinned to zero whenever survivors share ownership (and is the only
 //    thing the deep-copy oracle moves), and snapshot_summary_copies
 //    increments exactly once per FTV-mutating change batch — zero on a
-//    churn-free run, never on snapshot publishes.
+//    churn-free run.
 
 #include <gtest/gtest.h>
 
@@ -47,7 +47,6 @@ std::vector<Graph> SmallCorpus(std::uint64_t seed) {
 /// process-global toggles it runs its queries under.
 struct PathConfig {
   std::string label;
-  bool epoch = false;
   bool copy_survivors = false;
   bool arena = true;
   simd::SimdLevel simd_level = simd::SimdLevel::kScalar;
@@ -77,7 +76,6 @@ EngineUnderTest MakeEngine(const std::vector<Graph>& corpus, CacheModel model,
   opts.cache_capacity = 16;
   opts.window_capacity = 4;
   opts.num_shards = 2;
-  opts.epoch_reads = cfg.epoch;
   opts.copy_discovery_survivors = cfg.copy_survivors;
   opts.use_ftv_index = true;  // summary-clone accounting live everywhere
   e.gc = std::make_unique<GraphCachePlus>(e.ds.get(), opts);
@@ -125,15 +123,11 @@ void RunChurnReplay(CacheModel model) {
   const Workload w = GenerateTypeAByName(corpus, "ZU", kSteps, /*seed=*/909,
                                          /*zipf_alpha=*/1.2);
 
-  // The full "before" oracle, then the shipped configuration on both
-  // read paths.
-  const PathConfig oracle_cfg{"oracle(copy+heap+scalar,lock)", false, true,
-                              false, simd::SimdLevel::kScalar};
+  // The full "before" oracle, then the shipped configuration.
+  const PathConfig oracle_cfg{"oracle(copy+heap+scalar)", true, false,
+                              simd::SimdLevel::kScalar};
   const std::vector<PathConfig> variant_cfgs = {
-      {"shared+arena+simd,lock", false, false, true,
-       simd::DetectedSimdLevel()},
-      {"shared+arena+simd,epoch", true, false, true,
-       simd::DetectedSimdLevel()},
+      {"shared+arena+simd", false, true, simd::DetectedSimdLevel()},
   };
 
   EngineUnderTest oracle = MakeEngine(corpus, model, oracle_cfg);
@@ -170,9 +164,9 @@ void RunChurnReplay(CacheModel model) {
     }
   }
 
-  // Settle: the churn ends on a mutation batch, which the lock path
-  // absorbs (and FTV-syncs) lazily at the next query. One more query
-  // puts every engine at the same point in the sync cycle.
+  // Settle: the churn ends on a mutation batch, which the engines absorb
+  // (and FTV-sync) lazily at the next query. One more query puts every
+  // engine at the same point in the sync cycle.
   oracle.Activate();
   const std::vector<GraphId> settle =
       oracle.gc->Query(w.queries[0].query, QueryKind::kSubgraph).answer;
@@ -235,25 +229,20 @@ TEST(CopySharingEquivalenceTest, NoMutationsMeansNoSummaryCopies) {
   const std::vector<Graph> corpus = SmallCorpus(99);
   const Workload w = GenerateTypeAByName(corpus, "ZZ", 40, /*seed=*/17,
                                          /*zipf_alpha=*/1.2);
-  for (const bool epoch : {false, true}) {
-    EngineUnderTest e = MakeEngine(
-        corpus, CacheModel::kCon,
-        PathConfig{epoch ? "epoch" : "lock", epoch, false, true,
-                   simd::DetectedSimdLevel()});
-    e.Activate();
-    for (std::size_t i = 0; i < w.size(); ++i) {
-      e.gc->Query(w.queries[i].query,
-                  i % 2 == 0 ? QueryKind::kSubgraph : QueryKind::kSupergraph);
-    }
-    e.gc->FlushMaintenance();
-    const StatisticsManager stats = e.gc->CacheStatsSnapshot();
-    // Publishes alias the FTV summary vector: snapshots may have been
-    // published (epoch path), but with no FTV-mutating batch not one
-    // clone of the summaries is allowed.
-    EXPECT_EQ(stats.snapshot_summary_copies, 0u);
-    EXPECT_EQ(stats.shard_lock_graph_copies, 0u);
-    EXPECT_GT(stats.total_admissions, 0u);
+  EngineUnderTest e = MakeEngine(
+      corpus, CacheModel::kCon,
+      PathConfig{"shared", false, true, simd::DetectedSimdLevel()});
+  e.Activate();
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    e.gc->Query(w.queries[i].query,
+                i % 2 == 0 ? QueryKind::kSubgraph : QueryKind::kSupergraph);
   }
+  e.gc->FlushMaintenance();
+  const StatisticsManager stats = e.gc->CacheStatsSnapshot();
+  // With no FTV-mutating batch not one clone of the summaries is allowed.
+  EXPECT_EQ(stats.snapshot_summary_copies, 0u);
+  EXPECT_EQ(stats.shard_lock_graph_copies, 0u);
+  EXPECT_GT(stats.total_admissions, 0u);
 }
 
 }  // namespace

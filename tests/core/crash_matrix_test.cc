@@ -93,13 +93,12 @@ void ReplayLineage(GraphDataset& ds, int upto_step) {
 }
 
 GraphCachePlusOptions EngineOptions(const std::string& dir,
-                                    FaultInjector* fault, bool epoch) {
+                                    FaultInjector* fault) {
   GraphCachePlusOptions opts;
   opts.model = CacheModel::kCon;
   opts.cache_capacity = 8;
   opts.window_capacity = 2;
   opts.num_shards = 2;
-  opts.epoch_reads = epoch;
   opts.checkpoint_dir = dir;
   opts.checkpoint_keep = 4;
   opts.checkpoint_fault_injector = fault;
@@ -139,7 +138,7 @@ std::vector<std::vector<GraphId>> OracleAnswers() {
 void SeedRun(const std::string& dir, FaultInjector* fault) {
   GraphDataset ds;
   ds.Bootstrap(Corpus());
-  GraphCachePlus gc(&ds, EngineOptions(dir, fault, /*epoch=*/false));
+  GraphCachePlus gc(&ds, EngineOptions(dir, fault));
   RunQueries(gc);
   Mutate(ds, 0);
   RunQueries(gc);
@@ -173,11 +172,10 @@ std::string NewestCheckpointPath(const std::string& dir) {
 /// Restart against the full lineage and demand exact answers. Returns the
 /// restart report for outcome assertions.
 GraphCachePlus::WarmRestartReport RestartAndCheck(
-    const std::string& dir, const std::vector<std::vector<GraphId>>& oracle,
-    bool epoch = false) {
+    const std::string& dir, const std::vector<std::vector<GraphId>>& oracle) {
   GraphDataset ds;
   ReplayLineage(ds, kMutationSteps);
-  GraphCachePlus gc(&ds, EngineOptions(dir, nullptr, epoch));
+  GraphCachePlus gc(&ds, EngineOptions(dir, nullptr));
   GraphCachePlus::WarmRestartReport report;
   EXPECT_TRUE(gc.WarmRestart(&report).ok());
   EXPECT_EQ(RunQueries(gc), oracle);
@@ -330,7 +328,7 @@ TEST(CrashMatrixTest, DoubleRestartIsStableAndSeqsAdvance) {
   {
     GraphDataset ds;
     ReplayLineage(ds, kMutationSteps);
-    GraphCachePlus gc(&ds, EngineOptions(dir, nullptr, /*epoch=*/false));
+    GraphCachePlus gc(&ds, EngineOptions(dir, nullptr));
     GraphCachePlus::WarmRestartReport report;
     ASSERT_TRUE(gc.WarmRestart(&report).ok());
     EXPECT_TRUE(report.warm);
@@ -350,7 +348,7 @@ TEST(CrashMatrixTest, PostRestoreReconcileBalancesTouchedPlusSkipped) {
   SeedRun(dir, nullptr);
   GraphDataset ds;
   ReplayLineage(ds, kMutationSteps);
-  GraphCachePlusOptions opts = EngineOptions(dir, nullptr, /*epoch=*/false);
+  GraphCachePlusOptions opts = EngineOptions(dir, nullptr);
   // No admissions after restart: the resident population stays exactly
   // the restored entries, so the first reconcile's accounting is pinned.
   opts.enable_admission = false;
@@ -391,7 +389,7 @@ TEST(CrashMatrixTest, WarmRestartUnderByteBudgetKeepsWhatFits) {
   {
     GraphDataset ds;
     ReplayLineage(ds, kMutationSteps);
-    GraphCachePlus gc(&ds, EngineOptions(dir, nullptr, /*epoch=*/false));
+    GraphCachePlus gc(&ds, EngineOptions(dir, nullptr));
     ASSERT_TRUE(gc.WarmRestart(nullptr).ok());
     for (std::size_t s = 0; s < gc.cache_shards().num_shards(); ++s) {
       full_bytes += gc.cache_shards().shard(s).approx_entry_bytes();
@@ -403,7 +401,7 @@ TEST(CrashMatrixTest, WarmRestartUnderByteBudgetKeepsWhatFits) {
 
   GraphDataset ds;
   ReplayLineage(ds, kMutationSteps);
-  GraphCachePlusOptions opts = EngineOptions(dir, nullptr, /*epoch=*/false);
+  GraphCachePlusOptions opts = EngineOptions(dir, nullptr);
   // Half the measured footprint: the summed per-shard slices are below
   // what the full restore holds, so at least one shard must drop.
   opts.byte_budget = full_bytes / 2;
@@ -446,27 +444,6 @@ TEST(CrashMatrixTest, WarmRestartUnderByteBudgetKeepsWhatFits) {
   const std::uint64_t skipped =
       after.reconcile_entries_skipped - pre_drain.reconcile_entries_skipped;
   EXPECT_EQ(touched + skipped, resident);
-}
-
-TEST(CrashMatrixTest, EpochModeWarmRestartNeverTakesEngineLockOnReads) {
-  const std::vector<std::vector<GraphId>> oracle = OracleAnswers();
-  const std::string dir = FreshDir("crash_epoch");
-  SeedRun(dir, nullptr);
-  const auto report = RestartAndCheck(dir, oracle, /*epoch=*/true);
-  EXPECT_TRUE(report.warm);
-  // Re-run to inspect counters on a live engine.
-  GraphDataset ds;
-  ReplayLineage(ds, kMutationSteps);
-  GraphCachePlus gc(&ds, EngineOptions(dir, nullptr, /*epoch=*/true));
-  ASSERT_TRUE(gc.WarmRestart(nullptr).ok());
-  RunQueries(gc);
-  gc.FlushMaintenance();
-  ASSERT_TRUE(gc.CheckpointNow().ok());
-  RunQueries(gc);
-  EXPECT_EQ(gc.read_phase_engine_lock_acquisitions(), 0u);
-  const StatisticsManager stats = gc.CacheStatsSnapshot();
-  EXPECT_GE(stats.warm_restarts, 1u);
-  EXPECT_GE(stats.checkpoints_written, 1u);
 }
 
 }  // namespace

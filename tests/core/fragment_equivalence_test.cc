@@ -6,7 +6,7 @@
 // same answers every step (both checked against an uncached Method M
 // ground truth), same resident whole-query population with identical
 // CGvalid/answer indicators, same admission/dedup/eviction/hit counters —
-// across {CON, EVI} × {lock, epoch} × shards {1, 8}. The fragment
+// across {CON, EVI} × shards {1, 8}. The fragment
 // counters ride along to prove the tier actually engaged: fragments were
 // admitted, probed, intersected, and (CON) reconciled or (EVI) purged.
 
@@ -42,7 +42,7 @@ struct EngineUnderTest {
 };
 
 EngineUnderTest MakeEngine(const std::vector<Graph>& corpus, CacheModel model,
-                           bool epoch, std::size_t shards, bool fragments,
+                           std::size_t shards, bool fragments,
                            bool admission) {
   EngineUnderTest e;
   e.ds = std::make_unique<GraphDataset>();
@@ -52,7 +52,6 @@ EngineUnderTest MakeEngine(const std::vector<Graph>& corpus, CacheModel model,
   opts.cache_capacity = 16;
   opts.window_capacity = 4;
   opts.num_shards = shards;
-  opts.epoch_reads = epoch;
   opts.use_ftv_index = true;
   opts.use_fragment_cache = fragments;
   // Small enough that the churn exercises fragment LRU eviction too.
@@ -114,20 +113,20 @@ std::vector<std::string> ResidentState(const GraphCachePlus& gc) {
   return out;
 }
 
-void RunFragmentReplay(CacheModel model, bool epoch, std::size_t shards) {
+void RunFragmentReplay(CacheModel model, std::size_t shards) {
   constexpr std::size_t kSteps = 300;
   const std::vector<Graph> corpus = ChurnCorpus(2468);
   const Workload w = GenerateTypeAByName(corpus, "ZU", kSteps, /*seed=*/707,
                                          /*zipf_alpha=*/1.2);
 
   EngineUnderTest on =
-      MakeEngine(corpus, model, epoch, shards, /*fragments=*/true,
+      MakeEngine(corpus, model, shards, /*fragments=*/true,
                  /*admission=*/true);
   EngineUnderTest off =
-      MakeEngine(corpus, model, epoch, shards, /*fragments=*/false,
+      MakeEngine(corpus, model, shards, /*fragments=*/false,
                  /*admission=*/true);
   EngineUnderTest method_m =
-      MakeEngine(corpus, model, epoch, shards, /*fragments=*/false,
+      MakeEngine(corpus, model, shards, /*fragments=*/false,
                  /*admission=*/false);
 
   AggregateMetrics on_agg;
@@ -155,9 +154,9 @@ void RunFragmentReplay(CacheModel model, bool epoch, std::size_t shards) {
     on_agg.Add(on_res.metrics);
   }
 
-  // Settle: the churn ends on a mutation batch, which the lock path
-  // absorbs lazily at the next query; one more query puts every engine
-  // at the same point in the sync cycle.
+  // Settle: the churn ends on a mutation batch, which the engines absorb
+  // lazily at the next query; one more query puts every engine at the
+  // same point in the sync cycle.
   const std::vector<GraphId> settle =
       off.gc->Query(w.queries[0].query, QueryKind::kSubgraph).answer;
   EXPECT_EQ(on.gc->Query(w.queries[0].query, QueryKind::kSubgraph).answer,
@@ -201,35 +200,19 @@ void RunFragmentReplay(CacheModel model, bool epoch, std::size_t shards) {
 }
 
 TEST(FragmentEquivalenceTest, ConLockSingleShard) {
-  RunFragmentReplay(CacheModel::kCon, /*epoch=*/false, /*shards=*/1);
+  RunFragmentReplay(CacheModel::kCon, /*shards=*/1);
 }
 
 TEST(FragmentEquivalenceTest, ConLockEightShards) {
-  RunFragmentReplay(CacheModel::kCon, /*epoch=*/false, /*shards=*/8);
-}
-
-TEST(FragmentEquivalenceTest, ConEpochSingleShard) {
-  RunFragmentReplay(CacheModel::kCon, /*epoch=*/true, /*shards=*/1);
-}
-
-TEST(FragmentEquivalenceTest, ConEpochEightShards) {
-  RunFragmentReplay(CacheModel::kCon, /*epoch=*/true, /*shards=*/8);
+  RunFragmentReplay(CacheModel::kCon, /*shards=*/8);
 }
 
 TEST(FragmentEquivalenceTest, EviLockSingleShard) {
-  RunFragmentReplay(CacheModel::kEvi, /*epoch=*/false, /*shards=*/1);
+  RunFragmentReplay(CacheModel::kEvi, /*shards=*/1);
 }
 
 TEST(FragmentEquivalenceTest, EviLockEightShards) {
-  RunFragmentReplay(CacheModel::kEvi, /*epoch=*/false, /*shards=*/8);
-}
-
-TEST(FragmentEquivalenceTest, EviEpochSingleShard) {
-  RunFragmentReplay(CacheModel::kEvi, /*epoch=*/true, /*shards=*/1);
-}
-
-TEST(FragmentEquivalenceTest, EviEpochEightShards) {
-  RunFragmentReplay(CacheModel::kEvi, /*epoch=*/true, /*shards=*/8);
+  RunFragmentReplay(CacheModel::kEvi, /*shards=*/8);
 }
 
 }  // namespace

@@ -8,7 +8,7 @@
 // answers every step (both checked against uncached Method M), same
 // resident population with identical CGvalid/answer indicators, same
 // admission/eviction/hit/reconciliation counters — over a 300-step churn
-// across {CON, EVI} × {lock, epoch} × shards {1, 8}. A bound budget then
+// across {CON, EVI} × shards {1, 8}. A bound budget then
 // proves the byte pass engages: occupancy capped, byte evictions > 0,
 // answers still exact.
 
@@ -44,8 +44,8 @@ struct EngineUnderTest {
 };
 
 EngineUnderTest MakeEngine(const std::vector<Graph>& corpus, CacheModel model,
-                           bool epoch, std::size_t shards,
-                           std::size_t byte_budget, bool admission) {
+                           std::size_t shards, std::size_t byte_budget,
+                           bool admission) {
   EngineUnderTest e;
   e.ds = std::make_unique<GraphDataset>();
   e.ds->Bootstrap(corpus);
@@ -54,7 +54,6 @@ EngineUnderTest MakeEngine(const std::vector<Graph>& corpus, CacheModel model,
   opts.cache_capacity = 16;
   opts.window_capacity = 4;
   opts.num_shards = shards;
-  opts.epoch_reads = epoch;
   opts.use_ftv_index = true;
   opts.fragment_capacity = 24;
   opts.byte_budget = byte_budget;
@@ -115,17 +114,17 @@ std::vector<std::string> ResidentState(const GraphCachePlus& gc) {
 /// gauge, monitor and byte-pass entry points all run.
 constexpr std::size_t kHugeBudget = std::size_t{1} << 32;
 
-void RunBudgetReplay(CacheModel model, bool epoch, std::size_t shards) {
+void RunBudgetReplay(CacheModel model, std::size_t shards) {
   constexpr std::size_t kSteps = 300;
   const std::vector<Graph> corpus = ChurnCorpus(2468);
   const Workload w = GenerateTypeAByName(corpus, "ZU", kSteps, /*seed=*/707,
                                          /*zipf_alpha=*/1.2);
 
-  EngineUnderTest off = MakeEngine(corpus, model, epoch, shards,
+  EngineUnderTest off = MakeEngine(corpus, model, shards,
                                    /*byte_budget=*/0, /*admission=*/true);
-  EngineUnderTest huge = MakeEngine(corpus, model, epoch, shards, kHugeBudget,
+  EngineUnderTest huge = MakeEngine(corpus, model, shards, kHugeBudget,
                                     /*admission=*/true);
-  EngineUnderTest method_m = MakeEngine(corpus, model, epoch, shards,
+  EngineUnderTest method_m = MakeEngine(corpus, model, shards,
                                         /*byte_budget=*/0,
                                         /*admission=*/false);
 
@@ -197,7 +196,7 @@ void RunBudgetReplay(CacheModel model, bool epoch, std::size_t shards) {
   EXPECT_EQ(off.gc->pressure_monitor(), nullptr);
 }
 
-void RunBoundBudgetServes(CacheModel model, bool epoch, std::size_t shards) {
+void RunBoundBudgetServes(CacheModel model, std::size_t shards) {
   constexpr std::size_t kSteps = 120;
   const std::vector<Graph> corpus = ChurnCorpus(1357);
   const Workload w = GenerateTypeAByName(corpus, "ZU", kSteps, /*seed=*/11,
@@ -206,10 +205,10 @@ void RunBoundBudgetServes(CacheModel model, bool epoch, std::size_t shards) {
   // what the entry-count cap would keep even at 8 shards (ceil(16/8) + a
   // window slot), so it is the byte pass — not the count pass — that
   // fires constantly while answers stay exact.
-  EngineUnderTest bound = MakeEngine(corpus, model, epoch, shards,
+  EngineUnderTest bound = MakeEngine(corpus, model, shards,
                                      /*byte_budget=*/512 * shards,
                                      /*admission=*/true);
-  EngineUnderTest method_m = MakeEngine(corpus, model, epoch, shards, 0,
+  EngineUnderTest method_m = MakeEngine(corpus, model, shards, 0,
                                         /*admission=*/false);
   for (std::size_t step = 0; step < kSteps; ++step) {
     if (step % 7 == 5) {
@@ -243,43 +242,27 @@ void RunBoundBudgetServes(CacheModel model, bool epoch, std::size_t shards) {
 }
 
 TEST(ByteBudgetEquivalenceTest, ConLockSingleShard) {
-  RunBudgetReplay(CacheModel::kCon, /*epoch=*/false, /*shards=*/1);
+  RunBudgetReplay(CacheModel::kCon, /*shards=*/1);
 }
 
 TEST(ByteBudgetEquivalenceTest, ConLockEightShards) {
-  RunBudgetReplay(CacheModel::kCon, /*epoch=*/false, /*shards=*/8);
-}
-
-TEST(ByteBudgetEquivalenceTest, ConEpochSingleShard) {
-  RunBudgetReplay(CacheModel::kCon, /*epoch=*/true, /*shards=*/1);
-}
-
-TEST(ByteBudgetEquivalenceTest, ConEpochEightShards) {
-  RunBudgetReplay(CacheModel::kCon, /*epoch=*/true, /*shards=*/8);
+  RunBudgetReplay(CacheModel::kCon, /*shards=*/8);
 }
 
 TEST(ByteBudgetEquivalenceTest, EviLockSingleShard) {
-  RunBudgetReplay(CacheModel::kEvi, /*epoch=*/false, /*shards=*/1);
+  RunBudgetReplay(CacheModel::kEvi, /*shards=*/1);
 }
 
 TEST(ByteBudgetEquivalenceTest, EviLockEightShards) {
-  RunBudgetReplay(CacheModel::kEvi, /*epoch=*/false, /*shards=*/8);
-}
-
-TEST(ByteBudgetEquivalenceTest, EviEpochSingleShard) {
-  RunBudgetReplay(CacheModel::kEvi, /*epoch=*/true, /*shards=*/1);
-}
-
-TEST(ByteBudgetEquivalenceTest, EviEpochEightShards) {
-  RunBudgetReplay(CacheModel::kEvi, /*epoch=*/true, /*shards=*/8);
+  RunBudgetReplay(CacheModel::kEvi, /*shards=*/8);
 }
 
 TEST(ByteBudgetEquivalenceTest, BoundBudgetConLockStaysExact) {
-  RunBoundBudgetServes(CacheModel::kCon, /*epoch=*/false, /*shards=*/1);
+  RunBoundBudgetServes(CacheModel::kCon, /*shards=*/1);
 }
 
-TEST(ByteBudgetEquivalenceTest, BoundBudgetEviEpochShardedStaysExact) {
-  RunBoundBudgetServes(CacheModel::kEvi, /*epoch=*/true, /*shards=*/8);
+TEST(ByteBudgetEquivalenceTest, BoundBudgetEviShardedStaysExact) {
+  RunBoundBudgetServes(CacheModel::kEvi, /*shards=*/8);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 //    index must replay the brute-force ValidateAll oracle bit-exactly —
 //    same answers every step, same resident population with identical
 //    CGvalid/answer indicators, same admission/eviction/hit counters —
-//    across {CON, EVI} × {lock, epoch} × shards {1, 8}. An uncached
+//    across {CON, EVI} × shards {1, 8}. An uncached
 //    Method M engine replays the same churn as the ground-truth answer
 //    oracle. The accounting invariant rides along: the two engines
 //    process identical reconcile events, so indexed touched + skipped ==
@@ -53,7 +53,6 @@ struct EngineConfig {
   std::string label;
   bool relevance = true;
   bool delta = false;
-  bool epoch = false;
   std::size_t shards = 1;
   std::size_t retro_budget = 0;
   bool admission = true;  // false = uncached Method M passthrough
@@ -76,7 +75,6 @@ EngineUnderTest MakeEngine(const std::vector<Graph>& corpus, CacheModel model,
   opts.cache_capacity = 16;
   opts.window_capacity = 4;
   opts.num_shards = cfg.shards;
-  opts.epoch_reads = cfg.epoch;
   opts.use_relevance_index = cfg.relevance;
   opts.delta_revalidation = cfg.delta;
   opts.retrospective_budget = cfg.retro_budget;
@@ -140,7 +138,7 @@ std::vector<std::string> ResidentState(const GraphCachePlus& gc) {
   return out;
 }
 
-void RunReconcileReplay(CacheModel model, bool epoch, std::size_t shards) {
+void RunReconcileReplay(CacheModel model, std::size_t shards) {
   constexpr std::size_t kSteps = 300;
   const std::vector<Graph> corpus = ChurnCorpus(4321);
   const Workload w = GenerateTypeAByName(corpus, "ZU", kSteps, /*seed=*/909,
@@ -149,13 +147,13 @@ void RunReconcileReplay(CacheModel model, bool epoch, std::size_t shards) {
   const std::size_t retro = model == CacheModel::kCon ? 4 : 0;
   EngineUnderTest oracle = MakeEngine(
       corpus, model,
-      EngineConfig{"validate-all-oracle", false, false, epoch, shards, retro});
+      EngineConfig{"validate-all-oracle", false, false, shards, retro});
   EngineUnderTest indexed = MakeEngine(
       corpus, model,
-      EngineConfig{"relevance-index", true, false, epoch, shards, retro});
+      EngineConfig{"relevance-index", true, false, shards, retro});
   EngineUnderTest method_m = MakeEngine(
       corpus, model,
-      EngineConfig{"uncached-method-m", false, false, epoch, shards, 0,
+      EngineConfig{"uncached-method-m", false, false, shards, 0,
                    /*admission=*/false});
 
   for (std::size_t step = 0; step < kSteps; ++step) {
@@ -177,9 +175,9 @@ void RunReconcileReplay(CacheModel model, bool epoch, std::size_t shards) {
         << "relevance index diverged from uncached Method M at step " << step;
   }
 
-  // Settle: the churn ends on a mutation batch, which the lock path
-  // absorbs lazily at the next query; one more query puts both cached
-  // engines at the same point in the sync cycle.
+  // Settle: the churn ends on a mutation batch, which the engines absorb
+  // lazily at the next query; one more query puts both cached engines at
+  // the same point in the sync cycle.
   const std::vector<GraphId> settle =
       oracle.gc->Query(w.queries[0].query, QueryKind::kSubgraph).answer;
   EXPECT_EQ(indexed.gc->Query(w.queries[0].query, QueryKind::kSubgraph).answer,
@@ -235,38 +233,22 @@ void RunReconcileReplay(CacheModel model, bool epoch, std::size_t shards) {
 }
 
 TEST(ReconciliationEquivalenceTest, ConLockSingleShard) {
-  RunReconcileReplay(CacheModel::kCon, /*epoch=*/false, /*shards=*/1);
+  RunReconcileReplay(CacheModel::kCon, /*shards=*/1);
 }
 
 TEST(ReconciliationEquivalenceTest, ConLockEightShards) {
-  RunReconcileReplay(CacheModel::kCon, /*epoch=*/false, /*shards=*/8);
-}
-
-TEST(ReconciliationEquivalenceTest, ConEpochSingleShard) {
-  RunReconcileReplay(CacheModel::kCon, /*epoch=*/true, /*shards=*/1);
-}
-
-TEST(ReconciliationEquivalenceTest, ConEpochEightShards) {
-  RunReconcileReplay(CacheModel::kCon, /*epoch=*/true, /*shards=*/8);
+  RunReconcileReplay(CacheModel::kCon, /*shards=*/8);
 }
 
 TEST(ReconciliationEquivalenceTest, EviLockSingleShard) {
-  RunReconcileReplay(CacheModel::kEvi, /*epoch=*/false, /*shards=*/1);
+  RunReconcileReplay(CacheModel::kEvi, /*shards=*/1);
 }
 
 TEST(ReconciliationEquivalenceTest, EviLockEightShards) {
-  RunReconcileReplay(CacheModel::kEvi, /*epoch=*/false, /*shards=*/8);
+  RunReconcileReplay(CacheModel::kEvi, /*shards=*/8);
 }
 
-TEST(ReconciliationEquivalenceTest, EviEpochSingleShard) {
-  RunReconcileReplay(CacheModel::kEvi, /*epoch=*/true, /*shards=*/1);
-}
-
-TEST(ReconciliationEquivalenceTest, EviEpochEightShards) {
-  RunReconcileReplay(CacheModel::kEvi, /*epoch=*/true, /*shards=*/8);
-}
-
-void RunDeltaReplay(bool epoch) {
+void RunDeltaReplay() {
   constexpr std::size_t kSteps = 300;
   const std::vector<Graph> corpus = ChurnCorpus(8765);
   const Workload w = GenerateTypeAByName(corpus, "ZU", kSteps, /*seed=*/909,
@@ -278,13 +260,13 @@ void RunDeltaReplay(bool epoch) {
   // clear — but answers must not).
   EngineUnderTest delta_oracle = MakeEngine(
       corpus, CacheModel::kCon,
-      EngineConfig{"delta,validate-all", false, true, epoch, 2});
+      EngineConfig{"delta,validate-all", false, true, 2});
   EngineUnderTest delta_indexed = MakeEngine(
       corpus, CacheModel::kCon,
-      EngineConfig{"delta,relevance-index", true, true, epoch, 2});
+      EngineConfig{"delta,relevance-index", true, true, 2});
   EngineUnderTest fade_only = MakeEngine(
       corpus, CacheModel::kCon,
-      EngineConfig{"fade-only", true, false, epoch, 2});
+      EngineConfig{"fade-only", true, false, 2});
 
   for (std::size_t step = 0; step < kSteps; ++step) {
     if (step % 7 == 5) {
@@ -324,9 +306,7 @@ void RunDeltaReplay(bool epoch) {
   testing::ExpectStoreInvariants(*delta_indexed.gc, delta_indexed.cfg.label);
 }
 
-TEST(DeltaRevalidationEquivalenceTest, LockPath) { RunDeltaReplay(false); }
-
-TEST(DeltaRevalidationEquivalenceTest, EpochPath) { RunDeltaReplay(true); }
+TEST(DeltaRevalidationEquivalenceTest, LockPath) { RunDeltaReplay(); }
 
 }  // namespace
 }  // namespace gcp

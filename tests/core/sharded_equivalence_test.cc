@@ -47,11 +47,10 @@ struct EngineUnderTest {
 };
 
 EngineUnderTest MakeEngine(const std::vector<Graph>& corpus, CacheModel model,
-                           std::size_t shards, bool maintenance_thread,
-                           bool epoch = false) {
+                           std::size_t shards, bool maintenance_thread) {
   EngineUnderTest e;
   e.label = "shards=" + std::to_string(shards) +
-            (maintenance_thread ? "+mt" : "") + (epoch ? "+epoch" : "");
+            (maintenance_thread ? "+mt" : "");
   e.ds = std::make_unique<GraphDataset>();
   e.ds->Bootstrap(corpus);
   GraphCachePlusOptions opts;
@@ -60,7 +59,6 @@ EngineUnderTest MakeEngine(const std::vector<Graph>& corpus, CacheModel model,
   opts.window_capacity = 4;
   opts.num_shards = shards;
   opts.maintenance_thread = maintenance_thread;
-  opts.epoch_reads = epoch;
   // A small queue keeps the backpressure (inline per-shard drain) path in
   // play during the churn too.
   opts.maintenance_queue_capacity = 8;
@@ -111,8 +109,6 @@ void RunChurnEquivalence(CacheModel model) {
   engines.push_back(MakeEngine(corpus, model, 2, false));
   engines.push_back(MakeEngine(corpus, model, 8, false));
   engines.push_back(MakeEngine(corpus, model, 8, true));
-  // Epoch read path joins the matrix: same churn, same answers.
-  engines.push_back(MakeEngine(corpus, model, 8, false, /*epoch=*/true));
 
   for (std::size_t step = 0; step < kSteps; ++step) {
     if (step % 7 == 5) {

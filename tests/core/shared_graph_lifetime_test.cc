@@ -1,18 +1,17 @@
-// EpochSharedGraphLifetimeTest — the sanitizer gate for shared-ownership
+// SharedGraphLifetimeTest — the sanitizer gate for shared-ownership
 // graph reclamation (PR 6).
 //
 // Hit-discovery survivors alias the resident CachedQuery's Graph through
 // a shared_ptr instead of deep-copying it under the shard lock, so an
 // evicted or purged entry's graph must stay alive for as long as any
-// in-flight query (or exported snapshot) can still reach it — the
-// shared_ptr refcount subsumes the epoch grace period. This suite drives
-// exactly the dangerous interleaving: a deliberately tiny cache (so
-// resident graphs are evicted constantly) under racing client threads, a
-// racing mutator, and the dedicated maintenance thread, all on the
-// epoch read path. ASan/UBSan turns a premature free into a
-// use-after-free report; TSan (the suite name matches the TSan CI shard)
-// checks the handoff ordering. A serial case additionally pins an
-// exported entry's graph across a cache purge and keeps using it.
+// in-flight query (or exported snapshot) can still reach it. This suite
+// drives exactly the dangerous interleaving: a deliberately tiny cache
+// (so resident graphs are evicted constantly) under racing client
+// threads, a racing mutator, and the dedicated maintenance thread.
+// ASan/UBSan turns a premature free into a use-after-free report; TSan
+// (the suite name matches the TSan CI shard) checks the handoff
+// ordering. A serial case additionally pins an exported entry's graph
+// across a cache purge and keeps using it.
 
 #include <gtest/gtest.h>
 
@@ -60,7 +59,6 @@ void RunEvictionStorm(CacheModel model) {
   opts.cache_capacity = 4;
   opts.window_capacity = 2;
   opts.num_shards = 4;
-  opts.epoch_reads = true;
   opts.maintenance_thread = true;
   opts.maintenance_interval_us = 100;
   opts.maintenance_queue_capacity = 4;
@@ -113,25 +111,23 @@ void RunEvictionStorm(CacheModel model) {
   gc.FlushMaintenance();
   EXPECT_EQ(answered.load(), w.size());
   // Sharing did its job under the storm: not one graph was deep-copied
-  // under a shard lock, and the read path stayed lock-free.
+  // under a shard lock.
   EXPECT_EQ(gc.CacheStatsSnapshot().shard_lock_graph_copies, 0u);
-  EXPECT_EQ(gc.read_phase_engine_lock_acquisitions(), 0u);
-  EXPECT_EQ(gc.epoch_manager().pinned_readers(), 0u);
   EXPECT_EQ(gc.cache_shards().lock_violations(), 0u);
 }
 
-TEST(EpochSharedGraphLifetimeTest, EvictionStormCon) {
+TEST(SharedGraphLifetimeTest, EvictionStormCon) {
   RunEvictionStorm(CacheModel::kCon);
 }
 
-TEST(EpochSharedGraphLifetimeTest, EvictionStormEvi) {
+TEST(SharedGraphLifetimeTest, EvictionStormEvi) {
   RunEvictionStorm(CacheModel::kEvi);
 }
 
 // Serial pin: a graph exported from the cache must outlive the entry it
 // came from (eviction, purge, engine teardown) for as long as the caller
 // holds the shared_ptr.
-TEST(EpochSharedGraphLifetimeTest, ExportedGraphOutlivesPurge) {
+TEST(SharedGraphLifetimeTest, ExportedGraphOutlivesPurge) {
   const std::vector<Graph> corpus = SmallCorpus(11);
   std::shared_ptr<const Graph> pinned;
   std::size_t pinned_vertices = 0;
@@ -142,7 +138,6 @@ TEST(EpochSharedGraphLifetimeTest, ExportedGraphOutlivesPurge) {
     opts.model = CacheModel::kEvi;
     opts.cache_capacity = 4;
     opts.window_capacity = 2;
-    opts.epoch_reads = true;
     GraphCachePlus gc(&ds, opts);
     const Workload w =
         GenerateTypeAByName(corpus, "ZZ", 16, /*seed=*/5, /*zipf_alpha=*/1.2);

@@ -100,6 +100,36 @@ TEST(RunnerTest, ConcurrentClientsWithChangePlanStayExactPerQuery) {
   EXPECT_EQ(r.answers.size(), f.workload.size());
 }
 
+TEST(RunnerTest, SerialLoopWithMaintenanceThreadAndChurn) {
+  // The serial loops fire due plan batches through ApplyDatasetChanges,
+  // so a maintenance thread draining in the background (its drains read
+  // the dataset) never races a mutation. TSan gates this through the
+  // suite name; the answers must be uncached Method M's, query for query.
+  Fixture f = Fixture::Make(9, 200);
+  // A batch every 4 queries: many mutations for a drain to overlap.
+  Rng plan_rng(90);
+  f.plan = ChangePlan::Generate(plan_rng, 200, 50, 3,
+                                static_cast<std::uint32_t>(f.initial.size()));
+  RunnerConfig cfg;
+  cfg.mode = RunMode::kMethodM;
+  cfg.record_answers = true;
+  const RunReport m = RunWorkload(f.initial, f.workload, f.plan, cfg);
+  cfg.mode = RunMode::kCon;
+  cfg.maintenance_thread = true;
+  const RunReport serial = RunWorkload(f.initial, f.workload, f.plan, cfg);
+  EXPECT_EQ(serial.answers, m.answers);
+  EXPECT_GT(serial.cache_stats.total_admissions, 0u);
+  // The serial warm-up ahead of concurrent clients takes the same route;
+  // its answers are deterministic, the clients' are not.
+  cfg.client_threads = 2;
+  cfg.warmup_queries = 100;
+  const RunReport warm = RunWorkload(f.initial, f.workload, f.plan, cfg);
+  ASSERT_EQ(warm.answers.size(), m.answers.size());
+  for (std::size_t i = 0; i < cfg.warmup_queries; ++i) {
+    EXPECT_EQ(warm.answers[i], m.answers[i]) << "warm-up query " << i;
+  }
+}
+
 TEST(RunnerTest, ConSavesTestsOverMethodM) {
   const Fixture f = Fixture::Make(4, 120);
   RunnerConfig base;
