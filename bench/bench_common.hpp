@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/flags.hpp"
 #include "common/simd.hpp"
 #include "dataset/aids_like.hpp"
@@ -63,16 +62,6 @@ struct BenchConfig {
   std::size_t shards = 1;
   /// Dedicated maintenance drain thread (--maintenance-thread).
   bool maintenance_thread = false;
-  /// Run the legacy hot path (per-pair match state + brute-force
-  /// discovery scan) instead of the optimized one (--legacy).
-  bool legacy_hot_path = false;
-  /// Deep-copy discovery survivors under the shard lock instead of
-  /// sharing ownership (--copy-survivors; the pre-PR 6 oracle path).
-  bool copy_survivors = false;
-  /// Reconcile through the change-relevance index
-  /// (--relevance-index=false = the brute-force ValidateAll oracle, the
-  /// "before" side of bench_reconciliation).
-  bool relevance_index = true;
   /// CON-only delta re-validation at reconcile time
   /// (--delta-revalidation; default off = Algorithm 2 fade-only).
   bool delta_revalidation = false;
@@ -84,9 +73,6 @@ struct BenchConfig {
   /// use whatever the CPU supports). "off"/"scalar" is the bit-exact
   /// scalar oracle.
   std::string simd;
-  /// Thread arenas for per-query matcher scratch (--arena=off = the
-  /// plain-heap oracle path).
-  bool arena = true;
   /// Durable checkpoint directory (--checkpoint-dir; empty = off).
   std::string checkpoint_dir;
   /// Background checkpoint period in µs (--checkpoint-interval; 0 = off;
@@ -157,14 +143,10 @@ struct BenchConfig {
     c.shards = static_cast<std::size_t>(flags.GetInt("shards", c.shards));
     c.maintenance_thread =
         flags.GetBool("maintenance-thread", c.maintenance_thread);
-    c.legacy_hot_path = flags.GetBool("legacy", c.legacy_hot_path);
-    c.copy_survivors = flags.GetBool("copy-survivors", c.copy_survivors);
-    c.relevance_index = flags.GetBool("relevance-index", c.relevance_index);
     c.delta_revalidation =
         flags.GetBool("delta-revalidation", c.delta_revalidation);
     c.fragments = flags.GetBool("fragments", c.fragments);
     c.simd = flags.GetString("simd", c.simd);
-    c.arena = flags.GetBool("arena", c.arena);
     c.checkpoint_dir = flags.GetString("checkpoint-dir", c.checkpoint_dir);
     c.checkpoint_interval_us = static_cast<std::size_t>(
         flags.GetInt("checkpoint-interval", c.checkpoint_interval_us));
@@ -249,9 +231,6 @@ inline RunnerConfig MakeRunnerConfig(RunMode mode, MatcherKind method,
   rc.maintenance_thread = cfg.maintenance_thread;
   rc.max_sub_hits = cfg.max_sub_hits;
   rc.max_super_hits = cfg.max_super_hits;
-  rc.legacy_hot_path = cfg.legacy_hot_path;
-  rc.copy_discovery_survivors = cfg.copy_survivors;
-  rc.relevance_index = cfg.relevance_index;
   rc.delta_revalidation = cfg.delta_revalidation;
   rc.fragments = cfg.fragments;
   rc.checkpoint_dir = cfg.checkpoint_dir;
@@ -264,8 +243,7 @@ inline RunnerConfig MakeRunnerConfig(RunMode mode, MatcherKind method,
 
 /// Engine options for benches that construct GraphCachePlus directly
 /// (bypassing the workload runner). One place maps BenchConfig knobs —
-/// including every oracle toggle (--legacy, --relevance-index,
-/// --delta-revalidation, --fragments, --copy-survivors) — onto
+/// including --delta-revalidation and --fragments — onto
 /// GraphCachePlusOptions, so a new flag lands once instead of once per
 /// bench. Callers override the handful of fields their experiment pins
 /// (model, checkpoint knobs, ...) after the call.
@@ -278,24 +256,19 @@ inline GraphCachePlusOptions MakeEngineOptions(CacheModel model,
   opts.verify_threads = cfg.verify_threads;
   opts.num_shards = std::max<std::size_t>(1, cfg.shards);
   opts.maintenance_thread = cfg.maintenance_thread;
-  opts.copy_discovery_survivors = cfg.copy_survivors;
   opts.max_sub_hits = cfg.max_sub_hits;
   opts.max_super_hits = cfg.max_super_hits;
-  opts.use_relevance_index = cfg.relevance_index;
   opts.use_fragment_cache = cfg.fragments;
   opts.delta_revalidation = cfg.delta_revalidation;
-  opts.reuse_match_context = !cfg.legacy_hot_path;
-  opts.use_discovery_index = !cfg.legacy_hot_path;
   opts.checkpoint_dir = cfg.checkpoint_dir;
   opts.checkpoint_interval_us = cfg.checkpoint_interval_us;
   opts.byte_budget = cfg.byte_budget;
   return opts;
 }
 
-/// Applies the process-global oracle toggles (--simd, --arena) for this
-/// bench run. Call once from main before measuring; idempotent.
+/// Applies the process-global SIMD dispatch cap (--simd) for this bench
+/// run. Call once from main before measuring; idempotent.
 inline void ApplyProcessToggles(const BenchConfig& cfg) {
-  SetArenaEnabled(cfg.arena);
   if (cfg.simd.empty() || cfg.simd == "auto") {
     simd::SetSimdLevel(simd::DetectedSimdLevel());
   } else if (cfg.simd == "off" || cfg.simd == "scalar") {
@@ -337,7 +310,7 @@ inline double AvgDiscoverMs(const RunReport& r) {
                    static_cast<double>(r.agg.queries);
 }
 
-/// Minimal JSON writer for the before/after bench reports: an object of
+/// Minimal JSON writer for the bench reports: an object of
 /// "rows", each a flat field map. Callers pass alternating key/value
 /// already-formatted fields.
 class JsonWriter {

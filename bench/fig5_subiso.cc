@@ -10,12 +10,8 @@
 // workload/model suffices; we use VF2+ as the verifier.
 //
 // Besides the paper's test-count axis this bench reports Method M
-// verification THROUGHPUT (sub-iso tests per second of verify wall time),
-// the axis the reusable-match-context optimisation moves. With
-// --json=PATH every workload runs twice — once over the legacy hot path
-// (per-pair match-state recomputation, --legacy) and once over the
-// optimized one — and both sides land in one machine-readable report, so
-// before/after comes from the same machine in the same run.
+// verification THROUGHPUT (sub-iso tests per second of verify wall time).
+// With --json=PATH every row also lands in a machine-readable report.
 
 #include <memory>
 
@@ -36,66 +32,54 @@ int main(int argc, char** argv) {
   const MatcherKind method = MatcherKind::kVf2Plus;
 
   std::unique_ptr<JsonWriter> json;
-  std::vector<bool> legacy_modes;
   if (!cfg.json_path.empty()) {
     json = std::make_unique<JsonWriter>(cfg.json_path, "fig5_subiso", cfg);
-    legacy_modes = {true, false};  // before, then after
-  } else {
-    legacy_modes = {cfg.legacy_hot_path};
   }
 
-  std::printf("\n%-10s %-10s %12s %12s %12s %9s %9s %14s\n", "workload",
-              "path", "M tests/q", "EVI tests/q", "CON tests/q", "EVI spd",
+  std::printf("\n%-10s %12s %12s %12s %9s %9s %14s\n", "workload",
+              "M tests/q", "EVI tests/q", "CON tests/q", "EVI spd",
               "CON spd", "M verify t/s");
   for (const std::string& wname : workloads) {
     const Workload w = BuildWorkload(wname, corpus, cfg);
-    for (const bool legacy : legacy_modes) {
-      BenchConfig mode_cfg = cfg;
-      mode_cfg.legacy_hot_path = legacy;
-      const char* path = legacy ? "legacy" : "optimized";
-      const RunReport base =
-          RunWorkload(corpus, w, plan,
-                      MakeRunnerConfig(RunMode::kMethodM, method, mode_cfg));
-      const RunReport evi = RunWorkload(
-          corpus, w, plan, MakeRunnerConfig(RunMode::kEvi, method, mode_cfg));
-      const RunReport con = RunWorkload(
-          corpus, w, plan, MakeRunnerConfig(RunMode::kCon, method, mode_cfg));
-      std::printf("%-10s %-10s %12.1f %12.1f %12.1f %8.2fx %8.2fx %14.0f\n",
-                  wname.c_str(), path, base.avg_si_tests(),
-                  evi.avg_si_tests(), con.avg_si_tests(),
-                  SiTestSpeedup(base, evi), SiTestSpeedup(base, con),
-                  VerifyThroughputTestsPerSec(base));
-      std::fflush(stdout);
-      if (json != nullptr) {
-        struct Row {
-          const char* system;
-          const RunReport* r;
-        };
-        for (const Row row :
-             {Row{"M", &base}, Row{"EVI", &evi}, Row{"CON", &con}}) {
-          char buf[512];
-          std::snprintf(
-              buf, sizeof(buf),
-              "\"workload\": \"%s\", \"path\": \"%s\", \"system\": \"%s\", "
-              "\"tests_per_query\": %.3f, \"avg_query_ms\": %.5f, "
-              "\"avg_verify_ms\": %.5f, "
-              "\"verify_throughput_tests_per_sec\": %.1f",
-              wname.c_str(), path, row.system, row.r->avg_si_tests(),
-              row.r->avg_query_ms(),
-              row.r->agg.queries == 0
-                  ? 0.0
-                  : static_cast<double>(row.r->agg.t_verify_ns) / 1e6 /
-                        static_cast<double>(row.r->agg.queries),
-              VerifyThroughputTestsPerSec(*row.r));
-          json->Row(buf);
-        }
+    const RunReport base = RunWorkload(
+        corpus, w, plan, MakeRunnerConfig(RunMode::kMethodM, method, cfg));
+    const RunReport evi = RunWorkload(
+        corpus, w, plan, MakeRunnerConfig(RunMode::kEvi, method, cfg));
+    const RunReport con = RunWorkload(
+        corpus, w, plan, MakeRunnerConfig(RunMode::kCon, method, cfg));
+    std::printf("%-10s %12.1f %12.1f %12.1f %8.2fx %8.2fx %14.0f\n",
+                wname.c_str(), base.avg_si_tests(), evi.avg_si_tests(),
+                con.avg_si_tests(), SiTestSpeedup(base, evi),
+                SiTestSpeedup(base, con), VerifyThroughputTestsPerSec(base));
+    std::fflush(stdout);
+    if (json != nullptr) {
+      struct Row {
+        const char* system;
+        const RunReport* r;
+      };
+      for (const Row row :
+           {Row{"M", &base}, Row{"EVI", &evi}, Row{"CON", &con}}) {
+        char buf[512];
+        std::snprintf(
+            buf, sizeof(buf),
+            "\"workload\": \"%s\", \"system\": \"%s\", "
+            "\"tests_per_query\": %.3f, \"avg_query_ms\": %.5f, "
+            "\"avg_verify_ms\": %.5f, "
+            "\"verify_throughput_tests_per_sec\": %.1f",
+            wname.c_str(), row.system, row.r->avg_si_tests(),
+            row.r->avg_query_ms(),
+            row.r->agg.queries == 0
+                ? 0.0
+                : static_cast<double>(row.r->agg.t_verify_ns) / 1e6 /
+                      static_cast<double>(row.r->agg.queries),
+            VerifyThroughputTestsPerSec(*row.r));
+        json->Row(buf);
       }
     }
   }
   std::printf(
       "\n# Expected shape (paper): CON saves ~5-10x of the tests, EVI only\n"
       "# ~1.5-2.2x; reductions in tests exceed reductions in query time\n"
-      "# (cache hits have heterogeneous value). The optimized path must\n"
-      "# additionally verify >= 1.5x more tests per second than legacy.\n");
+      "# (cache hits have heterogeneous value).\n");
   return 0;
 }

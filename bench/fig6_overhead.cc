@@ -15,10 +15,8 @@
 // printed here as its own column (E6).
 //
 // The probe column isolates per-query hit-discovery cost — the part the
-// inverted feature-signature index attacks. With --json=PATH every
-// workload runs over both the legacy (--legacy: brute-force O(resident)
-// discovery scan) and the optimized path in one invocation, emitting a
-// machine-readable before/after report.
+// inverted feature-signature index attacks. With --json=PATH every row
+// also lands in a machine-readable report.
 
 #include <memory>
 
@@ -39,70 +37,58 @@ int main(int argc, char** argv) {
   const MatcherKind method = MatcherKind::kVf2;
 
   std::unique_ptr<JsonWriter> json;
-  std::vector<bool> legacy_modes;
   if (!cfg.json_path.empty()) {
     json = std::make_unique<JsonWriter>(cfg.json_path, "fig6_overhead", cfg);
-    legacy_modes = {true, false};  // before, then after
-  } else {
-    legacy_modes = {cfg.legacy_hot_path};
   }
 
-  std::printf("\n%-10s %-10s %-6s %13s %12s %11s %12s %13s %15s\n",
-              "workload", "path", "system", "avg query ms", "overhead ms",
-              "probe ms", "discover ms", "validation ms", "validation shr");
+  std::printf("\n%-10s %-6s %13s %12s %11s %12s %13s %15s\n", "workload",
+              "system", "avg query ms", "overhead ms", "probe ms",
+              "discover ms", "validation ms", "validation shr");
   for (const std::string& wname : workloads) {
     const Workload w = BuildWorkload(wname, corpus, cfg);
-    for (const bool legacy : legacy_modes) {
-      BenchConfig mode_cfg = cfg;
-      mode_cfg.legacy_hot_path = legacy;
-      const char* path = legacy ? "legacy" : "optimized";
-      struct Row {
-        const char* name;
-        RunMode mode;
-      };
-      for (const Row row : {Row{"M", RunMode::kMethodM},
-                            Row{"EVI", RunMode::kEvi},
-                            Row{"CON", RunMode::kCon}}) {
-        const RunReport r = RunWorkload(
-            corpus, w, plan, MakeRunnerConfig(row.mode, method, mode_cfg));
-        const double queries = static_cast<double>(r.agg.queries);
-        const double validation_ms =
-            queries > 0
-                ? static_cast<double>(r.agg.t_validate_ns) / 1e6 / queries
-                : 0.0;
-        if (row.mode == RunMode::kMethodM) {
-          // Bare Method M has no cache to validate, maintain or probe.
-          std::printf("%-10s %-10s %-6s %13.3f %12s %11s %12s %13s %15s\n",
-                      wname.c_str(), path, row.name, r.avg_query_ms(), "-",
-                      "-", "-", "-", "-");
-        } else {
-          std::printf(
-              "%-10s %-10s %-6s %13.3f %12.3f %11.4f %12.5f %13.4f %14.2f%%\n",
-              wname.c_str(), path, row.name, r.avg_query_ms(),
-              r.avg_overhead_ms(), AvgProbeMs(r), AvgDiscoverMs(r),
-              validation_ms, 100.0 * r.agg.ValidationShareOfOverhead());
-        }
-        std::fflush(stdout);
-        if (json != nullptr) {
-          char buf[512];
-          std::snprintf(
-              buf, sizeof(buf),
-              "\"workload\": \"%s\", \"path\": \"%s\", \"system\": \"%s\", "
-              "\"avg_query_ms\": %.5f, \"avg_overhead_ms\": %.5f, "
-              "\"avg_probe_ms\": %.5f, \"avg_discover_ms\": %.5f, "
-              "\"validation_ms\": %.5f",
-              wname.c_str(), path, row.name, r.avg_query_ms(),
-              r.avg_overhead_ms(), AvgProbeMs(r), AvgDiscoverMs(r),
-              validation_ms);
-          json->Row(buf);
-        }
+    struct Row {
+      const char* name;
+      RunMode mode;
+    };
+    for (const Row row : {Row{"M", RunMode::kMethodM},
+                          Row{"EVI", RunMode::kEvi},
+                          Row{"CON", RunMode::kCon}}) {
+      const RunReport r = RunWorkload(corpus, w, plan,
+                                      MakeRunnerConfig(row.mode, method, cfg));
+      const double queries = static_cast<double>(r.agg.queries);
+      const double validation_ms =
+          queries > 0 ? static_cast<double>(r.agg.t_validate_ns) / 1e6 / queries
+                      : 0.0;
+      if (row.mode == RunMode::kMethodM) {
+        // Bare Method M has no cache to validate, maintain or probe.
+        std::printf("%-10s %-6s %13.3f %12s %11s %12s %13s %15s\n",
+                    wname.c_str(), row.name, r.avg_query_ms(), "-", "-", "-",
+                    "-", "-");
+      } else {
+        std::printf(
+            "%-10s %-6s %13.3f %12.3f %11.4f %12.5f %13.4f %14.2f%%\n",
+            wname.c_str(), row.name, r.avg_query_ms(), r.avg_overhead_ms(),
+            AvgProbeMs(r), AvgDiscoverMs(r), validation_ms,
+            100.0 * r.agg.ValidationShareOfOverhead());
+      }
+      std::fflush(stdout);
+      if (json != nullptr) {
+        char buf[512];
+        std::snprintf(
+            buf, sizeof(buf),
+            "\"workload\": \"%s\", \"system\": \"%s\", "
+            "\"avg_query_ms\": %.5f, \"avg_overhead_ms\": %.5f, "
+            "\"avg_probe_ms\": %.5f, \"avg_discover_ms\": %.5f, "
+            "\"validation_ms\": %.5f",
+            wname.c_str(), row.name, r.avg_query_ms(), r.avg_overhead_ms(),
+            AvgProbeMs(r), AvgDiscoverMs(r), validation_ms);
+        json->Row(buf);
       }
     }
   }
   std::printf(
       "\n# Expected shape (paper): CON query time << EVI << M; overheads are\n"
       "# a few ms and CON-specific validation is a trivial share (<1%% at\n"
-      "# paper scale; the share shrinks further as dataset size grows).\n"
-      "# The optimized path must show lower probe ms than legacy.\n");
+      "# paper scale; the share shrinks further as dataset size grows).\n");
   return 0;
 }

@@ -239,11 +239,9 @@ void BM_SubIsoVf2PlusPrepared(benchmark::State& state) {
 }
 BENCHMARK(BM_SubIsoVf2PlusPrepared);
 
-// Hit discovery over a paper-scale resident population (120 entries):
-// brute-force feature scan (before) vs the inverted feature-signature
-// index (after). Both probe the same query stream and return identical
-// candidate sets.
-void QueryIndexKernel(benchmark::State& state, bool indexed) {
+// Hit discovery over a paper-scale resident population (120 entries)
+// through the inverted feature-signature index.
+void BM_HitDiscoveryIndexed(benchmark::State& state) {
   AidsLikeOptions opts;
   opts.num_graphs = 64;
   opts.seed = 11;
@@ -275,20 +273,12 @@ void QueryIndexKernel(benchmark::State& state, bool indexed) {
   std::size_t pi = 0;
   for (auto _ : state) {
     const GraphFeatures& p = probes[pi];
-    if (indexed) {
-      benchmark::DoNotOptimize(index.SupergraphCandidates(p).size());
-      benchmark::DoNotOptimize(index.SubgraphCandidates(p).size());
-    } else {
-      benchmark::DoNotOptimize(index.SupergraphCandidatesScan(p).size());
-      benchmark::DoNotOptimize(index.SubgraphCandidatesScan(p).size());
-    }
+    benchmark::DoNotOptimize(index.SupergraphCandidates(p).size());
+    benchmark::DoNotOptimize(index.SubgraphCandidates(p).size());
     pi = (pi + 1) % probes.size();
   }
   state.SetItemsProcessed(state.iterations());
 }
-void BM_HitDiscoveryScan(benchmark::State& s) { QueryIndexKernel(s, false); }
-void BM_HitDiscoveryIndexed(benchmark::State& s) { QueryIndexKernel(s, true); }
-BENCHMARK(BM_HitDiscoveryScan);
 BENCHMARK(BM_HitDiscoveryIndexed);
 
 }  // namespace

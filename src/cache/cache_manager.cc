@@ -23,8 +23,8 @@ std::uint64_t FragmentByteSlice(const CacheManagerOptions& o) {
 
 CacheManager::CacheManager(CacheManagerOptions options)
     : options_(options),
-      fragments_(options.fragment_capacity, options.maintain_relevance_index,
-                 FragmentByteSlice(options), options.pressure),
+      fragments_(options.fragment_capacity, FragmentByteSlice(options),
+                 options.pressure),
       rng_(options.rng_seed) {
   entry_byte_budget_ =
       options_.byte_budget == 0
@@ -99,7 +99,7 @@ Result<CacheEntryId> CacheManager::AdmitPrepared(
   const CacheEntryId id = entry->id;
   CachedQuery* raw = entry.get();
   index_.Insert(raw);
-  if (options_.maintain_relevance_index) relevance_.Insert(raw);
+  relevance_.Insert(raw);
   by_id_.emplace(id, raw);
   window_.push_back(std::move(entry));
   AccountAdmit(*raw);
@@ -115,7 +115,7 @@ void CacheManager::RefreshTwin(CacheEntryId id, CachedQuery& offer,
   e->last_used_at = now;
   // The merge SETS valid bits (the footprint must stay a superset) and
   // can widen the bitsets.
-  if (options_.maintain_relevance_index) relevance_.Refresh(e);
+  relevance_.Refresh(e);
   AccountRefresh(*e);
   ++stats_.total_admission_refreshes;
 }
@@ -227,12 +227,12 @@ void CacheManager::ValidateAll(
   restore_balance_check_pending_ = false;
   for (auto& e : cache_) {
     CacheValidator::RefreshEntry(*e, counters, id_horizon, delta, &stats_);
-    if (options_.maintain_relevance_index) relevance_.Refresh(e.get());
+    relevance_.Refresh(e.get());
     AccountRefresh(*e);
   }
   for (auto& e : window_) {
     CacheValidator::RefreshEntry(*e, counters, id_horizon, delta, &stats_);
-    if (options_.maintain_relevance_index) relevance_.Refresh(e.get());
+    relevance_.Refresh(e.get());
     AccountRefresh(*e);
   }
   // Fragments reconcile with plain Algorithm 2 — the delta hook re-proves
@@ -286,7 +286,6 @@ void CacheManager::ValidateRelevant(
 }
 
 void CacheManager::RefreshRelevanceFootprint(CacheEntryId id) {
-  if (!options_.maintain_relevance_index) return;
   const CachedQuery* e = Find(id);
   if (e != nullptr) relevance_.Refresh(e);
 }
@@ -428,7 +427,7 @@ void CacheManager::RestoreEntries(std::vector<CachedQuery> entries) {
           StatisticsManager::StructuralCostEstimateMs(*owned->query);
     }
     index_.Insert(owned.get());
-    if (options_.maintain_relevance_index) relevance_.Insert(owned.get());
+    relevance_.Insert(owned.get());
     by_id_.emplace(owned->id, owned.get());
     AccountAdmit(*owned);
     cache_.push_back(std::move(owned));

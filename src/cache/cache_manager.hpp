@@ -43,10 +43,6 @@ struct CacheManagerOptions {
   std::size_t window_capacity = 20;   ///< Paper default.
   ReplacementPolicy policy = ReplacementPolicy::kHybrid;
   std::uint64_t rng_seed = 7;         ///< For the RANDOM policy only.
-  /// Maintain the change-relevance index (footprints + postings) across
-  /// admissions/evictions so ValidateRelevant can screen reconciles. Off
-  /// on the brute-force oracle path so its cost stays visible in benches.
-  bool maintain_relevance_index = true;
   /// Capacity of the embedded one-hop fragment store (0 disables it).
   std::size_t fragment_capacity = 256;
   /// Byte-accounted capacity cap over this store's resident graph+bitset
@@ -139,9 +135,9 @@ class CacheManager {
   void PurgeForReconcile();
 
   /// CON validation: applies Algorithm 2 to every resident entry — the
-  /// brute-force oracle. Every resident entry counts as touched; skipped
-  /// stays 0. `delta` optionally enables delta re-validation per
-  /// invalidated (entry, graph) pair.
+  /// brute-force reference ValidateRelevant is tested against. Every
+  /// resident entry counts as touched; skipped stays 0. `delta` optionally
+  /// enables delta re-validation per invalidated (entry, graph) pair.
   void ValidateAll(const ChangeCounters& counters, std::size_t id_horizon,
                    const CacheValidator::DeltaRevalidateFn* delta = nullptr);
 
@@ -150,8 +146,7 @@ class CacheManager {
   /// loop only over entries whose footprint intersects the batch —
   /// bit-exact vs ValidateAll by construction (the screen only skips
   /// entries no counter can mutate). Touched/skipped accounting per
-  /// call: touched + skipped == resident. Requires
-  /// options().maintain_relevance_index.
+  /// call: touched + skipped == resident.
   void ValidateRelevant(const ChangeCounters& counters, std::size_t id_horizon,
                         const CacheValidator::DeltaRevalidateFn* delta =
                             nullptr);
@@ -213,8 +208,7 @@ class CacheManager {
   /// Feature index over all resident entries.
   const QueryIndex& index() const { return index_; }
 
-  /// Change-relevance index over all resident entries (empty when
-  /// maintain_relevance_index is off).
+  /// Change-relevance index over all resident entries.
   const RelevanceIndex& relevance_index() const { return relevance_; }
 
   /// Embedded one-hop fragment store. Shares this store's lock discipline

@@ -12,17 +12,16 @@ namespace gcp {
 
 namespace {
 
-constexpr char kHeaderV1[] = "GCPCHKPT v1\n";
-constexpr char kHeaderV2[] = "GCPCHKPT v2\n";
+constexpr char kHeader[] = "GCPCHKPT v2\n";
 constexpr char kPrefix[] = "checkpoint-";
 constexpr char kSuffix[] = ".gcpchk";
 
-std::string MetaPayload(const CacheSnapshot& s, int version) {
+std::string MetaPayload(const CacheSnapshot& s) {
   std::ostringstream os;
   os << "watermark " << s.watermark << "\n"
      << "horizon " << s.id_horizon << "\n"
-     << "entries " << s.entries.size() << "\n";
-  if (version >= 2) os << "fragments " << s.fragments.size() << "\n";
+     << "entries " << s.entries.size() << "\n"
+     << "fragments " << s.fragments.size() << "\n";
   return os.str();
 }
 
@@ -94,15 +93,15 @@ Result<std::uint64_t> ParseCheckpointSeq(const std::string& name) {
   return static_cast<std::uint64_t>(std::strtoull(digits.c_str(), nullptr, 10));
 }
 
-std::string EncodeCheckpoint(const CacheSnapshot& snapshot, int version) {
-  const std::string meta = MetaPayload(snapshot, version);
+std::string EncodeCheckpoint(const CacheSnapshot& snapshot) {
+  const std::string meta = MetaPayload(snapshot);
   std::ostringstream body_os;
-  WriteCacheSnapshot(body_os, snapshot, version);
+  WriteCacheSnapshot(body_os, snapshot);
   const std::string body = body_os.str();
 
   std::string out;
   out.reserve(meta.size() + body.size() + 160);
-  out += version >= 2 ? kHeaderV2 : kHeaderV1;
+  out += kHeader;
   out += SectionHeader("meta", meta);
   out += meta;
   out += SectionHeader("body", body);
@@ -118,17 +117,9 @@ std::string EncodeCheckpoint(const CacheSnapshot& snapshot, int version) {
 }
 
 Result<CacheSnapshot> DecodeCheckpoint(const std::string& bytes) {
-  const std::size_t header_len = std::strlen(kHeaderV2);
-  int version = 0;
-  if (bytes.size() >= header_len) {
-    if (bytes.compare(0, header_len, kHeaderV2) == 0) {
-      version = 2;
-    } else if (bytes.compare(0, header_len, kHeaderV1) == 0) {
-      version = 1;
-    }
-  }
-  if (version == 0) {
-    return Status::Corruption("not a GCPCHKPT v1/v2 checkpoint");
+  const std::size_t header_len = std::strlen(kHeader);
+  if (bytes.compare(0, header_len, kHeader) != 0) {
+    return Status::Corruption("not a GCPCHKPT v2 checkpoint");
   }
   std::size_t pos = header_len;
   std::string meta, body;
@@ -170,8 +161,7 @@ Result<CacheSnapshot> DecodeCheckpoint(const std::string& bytes) {
     return Status::Corruption("malformed meta section: entries");
   }
   std::uint64_t m_fragments = 0;
-  if (version >= 2 &&
-      (!(ms >> key >> m_fragments) || key != "fragments")) {
+  if (!(ms >> key >> m_fragments) || key != "fragments") {
     return Status::Corruption("malformed meta section: fragments");
   }
   if (m_entries != f_entries || m_watermark != f_watermark ||

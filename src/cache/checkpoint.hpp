@@ -10,9 +10,8 @@
 //   <len bytes: the GCPCACHE v2 snapshot text>
 //   footer <entries> <watermark> <horizon> <crc32>\n
 //
-// v1 envelopes (no fragments meta line, v1 snapshot body) are still
-// accepted on read: a v1 checkpoint warm-restarts with its whole-query
-// entries intact and the fragment store rebuilding cold.
+// Any other header, including the retired v1 envelope, is Corruption;
+// warm restart degrades past such a file to the next-older sibling.
 //
 // Every section carries its own length + CRC32, so a torn write, a
 // truncation at any byte, or a flipped bit in any region is detected at
@@ -47,15 +46,11 @@ std::string CheckpointFileName(std::uint64_t seq);
 /// non-checkpoint names (tmp files, foreign files).
 Result<std::uint64_t> ParseCheckpointSeq(const std::string& name);
 
-/// Serializes `snapshot` into the envelope format (in memory). `version`
-/// selects the format (1 or 2) so tests can author authentic v1 bytes;
-/// a v1 encode drops the fragment payload.
-std::string EncodeCheckpoint(const CacheSnapshot& snapshot,
-                             int version = kCacheSnapshotVersion);
+/// Serializes `snapshot` into the envelope format (in memory).
+std::string EncodeCheckpoint(const CacheSnapshot& snapshot);
 
 /// Validates the envelope (header, section CRCs, footer) and parses the
-/// embedded snapshot (v1 or v2). Corruption pinpoints the failing
-/// section.
+/// embedded snapshot. Corruption pinpoints the failing section.
 Result<CacheSnapshot> DecodeCheckpoint(const std::string& bytes);
 
 /// Writes `snapshot` to `path` crash-safely (tmp → fsync → rename), every

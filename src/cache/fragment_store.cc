@@ -42,7 +42,7 @@ Status FragmentStore::AdmitOrMerge(std::unique_ptr<CachedQuery> entry,
     ++stats.fragment_merges;
     // The merge can SET valid bits — the footprint must be recomputed to
     // stay a superset — and can grow the bitsets past the byte slice.
-    if (maintain_relevance_index_) relevance_.Refresh(&resident);
+    relevance_.Refresh(&resident);
     AccountRefresh(resident);
     EvictOverCapacity(stats);
     return Status::OK();
@@ -58,7 +58,7 @@ Status FragmentStore::AdmitOrMerge(std::unique_ptr<CachedQuery> entry,
   entry->in_window = false;
   CachedQuery* raw = entry.get();
   by_digest_.emplace(entry->digest, std::move(entry));
-  if (maintain_relevance_index_) relevance_.Insert(raw);
+  relevance_.Insert(raw);
   AccountAdmit(*raw);
   ++stats.fragment_admissions;
   EvictOverCapacity(stats);
@@ -89,7 +89,7 @@ void FragmentStore::ValidateAll(const ChangeCounters& counters,
   stats.fragment_reconcile_touched += by_digest_.size();
   for (auto& [digest, e] : by_digest_) {
     CacheValidator::RefreshEntry(*e, counters, id_horizon);
-    if (maintain_relevance_index_) relevance_.Refresh(e.get());
+    relevance_.Refresh(e.get());
     AccountRefresh(*e);
   }
 }
@@ -97,10 +97,6 @@ void FragmentStore::ValidateAll(const ChangeCounters& counters,
 void FragmentStore::ValidateRelevant(const ChangeCounters& counters,
                                      std::size_t id_horizon,
                                      StatisticsManager& stats) {
-  if (!maintain_relevance_index_) {
-    ValidateAll(counters, id_horizon, stats);
-    return;
-  }
   for (auto& [digest, e] : by_digest_) {
     CacheValidator::ExtendEntry(*e, id_horizon);
     AccountRefresh(*e);
@@ -197,7 +193,7 @@ void FragmentStore::Restore(std::vector<CachedQuery> entries,
     owned->in_window = false;
     CachedQuery* raw = owned.get();
     by_digest_.emplace(owned->digest, std::move(owned));
-    if (maintain_relevance_index_) relevance_.Insert(raw);
+    relevance_.Insert(raw);
     AccountAdmit(*raw);
     ++stats.restored_fragments;
   }

@@ -51,13 +51,9 @@ class FragmentStore {
   /// `byte_budget` is this store's slice of the engine byte budget (0 =
   /// off); `pressure` optionally mirrors the byte gauge into the shared
   /// pressure monitor (not owned).
-  explicit FragmentStore(std::size_t capacity, bool maintain_relevance_index,
-                         std::uint64_t byte_budget = 0,
+  explicit FragmentStore(std::size_t capacity, std::uint64_t byte_budget = 0,
                          PressureMonitor* pressure = nullptr)
-      : capacity_(capacity),
-        maintain_relevance_index_(maintain_relevance_index),
-        byte_budget_(byte_budget),
-        pressure_(pressure) {}
+      : capacity_(capacity), byte_budget_(byte_budget), pressure_(pressure) {}
 
   /// Resident entry for `digest` whose star has the canonical label
   /// sequence `labels`; nullptr on miss or digest collision. Does not
@@ -85,14 +81,14 @@ class FragmentStore {
   /// Drops every fragment (EVI purge / restore preamble).
   void Clear();
 
-  /// CON reconciliation, brute force: Algorithm 2 over every fragment.
+  /// CON reconciliation, brute force: Algorithm 2 over every fragment —
+  /// the reference ValidateRelevant is tested against.
   void ValidateAll(const ChangeCounters& counters, std::size_t id_horizon,
                    StatisticsManager& stats);
 
   /// CON reconciliation through this store's own relevance index —
   /// bit-exact vs ValidateAll for the same reason the entry path is: the
-  /// screen only skips fragments no counter can mutate. Falls back to
-  /// ValidateAll when the index is off.
+  /// screen only skips fragments no counter can mutate.
   void ValidateRelevant(const ChangeCounters& counters, std::size_t id_horizon,
                         StatisticsManager& stats);
 
@@ -142,7 +138,6 @@ class FragmentStore {
   CachedQuery* FindMutable(std::uint64_t digest);
 
   std::size_t capacity_;
-  bool maintain_relevance_index_;
   std::uint64_t byte_budget_ = 0;
   PressureMonitor* pressure_ = nullptr;
   /// Running graph+bitset bytes of resident fragments.

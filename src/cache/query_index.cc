@@ -118,26 +118,6 @@ std::vector<const CachedQuery*> QueryIndex::SubgraphCandidates(
   return out;
 }
 
-std::vector<const CachedQuery*> QueryIndex::SupergraphCandidatesScan(
-    const GraphFeatures& g) const {
-  std::vector<const CachedQuery*> out;
-  out.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) {
-    if (g.CouldBeSubgraphOf(entry->features)) out.push_back(entry);
-  }
-  return out;
-}
-
-std::vector<const CachedQuery*> QueryIndex::SubgraphCandidatesScan(
-    const GraphFeatures& g) const {
-  std::vector<const CachedQuery*> out;
-  out.reserve(entries_.size());
-  for (const auto& [id, entry] : entries_) {
-    if (entry->features.CouldBeSubgraphOf(g)) out.push_back(entry);
-  }
-  return out;
-}
-
 std::vector<const CachedQuery*> QueryIndex::DigestMatches(
     std::uint64_t digest) const {
   std::vector<const CachedQuery*> out;

@@ -19,10 +19,8 @@
 // three integer comparisons plus one mask test (a sound superset of the
 // dominance candidates), and verifies survivors with the full
 // CouldBeSubgraphOf dominance check — cost proportional to the
-// candidates, not to the resident population. The legacy O(resident)
-// scans remain available (*Scan) as the reference implementation for
-// equivalence tests and before/after benchmarks; both paths return
-// identical candidate sets.
+// candidates, not to the resident population. The equivalence test
+// checks both probes against a brute-force O(resident) dominance scan.
 
 #ifndef GCP_CACHE_QUERY_INDEX_HPP_
 #define GCP_CACHE_QUERY_INDEX_HPP_
@@ -59,15 +57,6 @@ class QueryIndex {
   /// Cached queries that could BE CONTAINED in `g` (candidates for
   /// g'' ⊆ g). Sound: never misses a true subgraph of g.
   std::vector<const CachedQuery*> SubgraphCandidates(
-      const GraphFeatures& g) const;
-
-  /// Brute-force reference implementations: scan every resident entry and
-  /// apply the dominance check. Return exactly the same candidate sets as
-  /// the indexed versions (asserted by the equivalence tests; also the
-  /// "before" side of the discovery benchmarks).
-  std::vector<const CachedQuery*> SupergraphCandidatesScan(
-      const GraphFeatures& g) const;
-  std::vector<const CachedQuery*> SubgraphCandidatesScan(
       const GraphFeatures& g) const;
 
   /// Cached queries with WL digest `digest` (exact-match / dedup probes).

@@ -136,7 +136,6 @@ StatisticsManager ShardedCache::AggregateStats() const {
     sum.read_phase_engine_lock_acquisitions +=
         st.read_phase_engine_lock_acquisitions;
     sum.snapshot_summary_copies += st.snapshot_summary_copies;
-    sum.shard_lock_graph_copies += st.shard_lock_graph_copies;
     sum.checkpoints_written += st.checkpoints_written;
     sum.checkpoints_failed += st.checkpoints_failed;
     sum.checkpoints_retried += st.checkpoints_retried;
@@ -176,11 +175,6 @@ StatisticsManager ShardedCache::AggregateStats() const {
 
 void ShardedCache::Clear() {
   for (auto& s : shards_) s->store.Clear();
-}
-
-void ShardedCache::ValidateAll(const ChangeCounters& counters,
-                               std::size_t id_horizon) {
-  for (auto& s : shards_) s->store.ValidateAll(counters, id_horizon);
 }
 
 std::vector<CachedQuery> ShardedCache::ExportEntries() const {

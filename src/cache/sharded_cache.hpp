@@ -14,7 +14,7 @@
 // Lock order: the engine lock (dataset/watermark) is always acquired
 // before any shard lock, and shard locks are acquired in ascending index
 // order. Stop-the-world operations (dataset mutation, EVI purge, CON
-// ValidateAll, snapshot restore) hold the engine lock exclusively and take
+// reconcile, snapshot restore) hold the engine lock exclusively and take
 // every shard lock through LockAllExclusive.
 //
 // The "a drain never touches a foreign shard" invariant is enforced, not
@@ -80,7 +80,7 @@ class ShardedCache {
   /// Every shard lock, shared, in ascending index order (read phase).
   std::vector<std::shared_lock<std::shared_mutex>> LockAllShared() const;
   /// Every shard lock, exclusive, in ascending index order (stop-the-world
-  /// barrier: dataset changes, EVI purge, ValidateAll, restore).
+  /// barrier: dataset changes, EVI purge, CON reconcile, restore).
   std::vector<std::unique_lock<std::shared_mutex>> LockAllExclusive() const;
 
   /// RAII marker: the current thread is draining shard `s`. While one is
@@ -113,9 +113,6 @@ class ShardedCache {
 
   /// EVI purge across every shard.
   void Clear();
-
-  /// CON validation (Algorithm 2) across every shard.
-  void ValidateAll(const ChangeCounters& counters, std::size_t id_horizon);
 
   /// Calls `fn(const CachedQuery&)` for every resident entry, shard 0
   /// first.

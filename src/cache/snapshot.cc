@@ -1,6 +1,10 @@
 #include "cache/snapshot.hpp"
 
+#include <charconv>
+#include <cmath>
+#include <iterator>
 #include <sstream>
+#include <utility>
 
 #include "graph/graph_io.hpp"
 
@@ -9,6 +13,7 @@ namespace gcp {
 namespace {
 
 constexpr char kMagic[] = "GCPCACHE";
+constexpr char kVersion[] = "v2";
 
 // Bitsets are serialized as '0'/'1' strings (diff-friendly; snapshots are
 // maintenance artifacts, not a hot path). Any character outside {0,1} is
@@ -46,24 +51,78 @@ void WriteEntryBlock(std::ostream& os, const CachedQuery& e,
 
 }  // namespace
 
-void WriteCacheSnapshot(std::ostream& os, const CacheSnapshot& snapshot,
-                        int version) {
-  os << kMagic << " v" << version << "\n";
+void WriteCacheSnapshot(std::ostream& os, const CacheSnapshot& snapshot) {
+  os << kMagic << " " << kVersion << "\n";
   os << "watermark " << snapshot.watermark << "\n";
   os << "horizon " << snapshot.id_horizon << "\n";
   os << "entries " << snapshot.entries.size() << "\n";
-  if (version >= 2) os << "fragments " << snapshot.fragments.size() << "\n";
+  os << "fragments " << snapshot.fragments.size() << "\n";
   for (const CachedQuery& e : snapshot.entries) {
     WriteEntryBlock(os, e, "entry");
   }
-  if (version >= 2) {
-    for (const CachedQuery& e : snapshot.fragments) {
-      WriteEntryBlock(os, e, "fragment");
-    }
+  for (const CachedQuery& e : snapshot.fragments) {
+    WriteEntryBlock(os, e, "fragment");
   }
 }
 
 namespace {
+
+/// Whole-string parse of `s` into `*out`: no sign on counters, no
+/// leading or trailing characters, no overflow.
+template <typename T>
+bool ParseWhole(const std::string& s, T* out) {
+  const char* last = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), last, *out);
+  return ec == std::errc() && ptr == last;
+}
+
+/// Parses the "name=value" fields of an entry header line into `e`. Each
+/// of the nine names must appear exactly once: eight unsigned decimal
+/// counters and a finite, non-negative cost (PINC ranks on it, and a NaN
+/// would break the replacement sort's ordering).
+Status ParseEntryHeader(const std::string& fields, CachedQuery* e) {
+  std::uint64_t kind = 0;
+  const std::pair<const char*, std::uint64_t*> counters[] = {
+      {"kind", &kind},
+      {"admitted", &e->admitted_at},
+      {"last_used", &e->last_used_at},
+      {"hits", &e->hits},
+      {"tests_saved", &e->tests_saved},
+      {"exact", &e->exact_hits},
+      {"sub", &e->sub_hits},
+      {"super", &e->super_hits}};
+  constexpr std::size_t kCost = std::size(counters);  // the ninth field
+  bool seen[kCost + 1] = {};
+  std::istringstream hs(fields);
+  std::string field;
+  while (hs >> field) {
+    const auto eq = field.find('=');
+    if (eq == std::string::npos) {
+      return Status::Corruption("malformed entry field: " + field);
+    }
+    const std::string name = field.substr(0, eq);
+    const std::string value = field.substr(eq + 1);
+    std::size_t slot = 0;
+    while (slot < kCost && name != counters[slot].first) ++slot;
+    if (slot == kCost && name != "cost") {
+      return Status::Corruption("unknown entry field: " + name);
+    }
+    if (seen[slot]) return Status::Corruption("duplicate entry field: " + name);
+    seen[slot] = true;
+    double& cost = e->est_test_cost_ms;
+    const bool ok = slot < kCost ? ParseWhole(value, counters[slot].second)
+                                 : ParseWhole(value, &cost) &&
+                                       std::isfinite(cost) && cost >= 0.0;
+    if (!ok) return Status::Corruption("malformed entry value: " + field);
+  }
+  // A truncated header line must not yield a default-constructed entry.
+  for (const bool got : seen) {
+    if (!got) return Status::Corruption("entry header lacks a field");
+  }
+  if (kind > 1) return Status::Corruption("bad entry kind");
+  e->kind = static_cast<CachedQueryKind>(kind);
+  return Status::OK();
+}
 
 /// Parses one "<keyword> ..." block (header + bitsets + graph) into `*out`.
 Status ParseEntryBlock(std::istream& is, const char* keyword, std::size_t i,
@@ -76,56 +135,7 @@ Status ParseEntryBlock(std::istream& is, const char* keyword, std::size_t i,
                               std::to_string(i));
   }
   CachedQuery e;
-  {
-    std::istringstream hs(line.substr(prefix.size()));
-      std::string field;
-      std::size_t fields_seen = 0;
-      while (hs >> field) {
-        const auto eq = field.find('=');
-        if (eq == std::string::npos) {
-          return Status::Corruption("malformed entry field: " + field);
-        }
-        const std::string name = field.substr(0, eq);
-        const std::string value = field.substr(eq + 1);
-        char* end = nullptr;
-        if (name == "cost") {
-          e.est_test_cost_ms = std::strtod(value.c_str(), &end);
-        } else {
-          const std::uint64_t v = std::strtoull(value.c_str(), &end, 10);
-          if (name == "kind") {
-            if (v > 1) return Status::Corruption("bad entry kind");
-            e.kind = static_cast<CachedQueryKind>(v);
-          } else if (name == "admitted") {
-            e.admitted_at = v;
-          } else if (name == "last_used") {
-            e.last_used_at = v;
-          } else if (name == "hits") {
-            e.hits = v;
-          } else if (name == "tests_saved") {
-            e.tests_saved = v;
-          } else if (name == "exact") {
-            e.exact_hits = v;
-          } else if (name == "sub") {
-            e.sub_hits = v;
-          } else if (name == "super") {
-            e.super_hits = v;
-          } else {
-            return Status::Corruption("unknown entry field: " + name);
-          }
-        }
-        if (end == nullptr || *end != '\0') {
-          return Status::Corruption("malformed entry value: " + field);
-        }
-        ++fields_seen;
-      }
-      // A truncated header line must not yield a default-constructed
-      // entry: all 9 metadata fields are required.
-      if (fields_seen != 9) {
-        return Status::Corruption("entry header holds " +
-                                  std::to_string(fields_seen) +
-                                  " fields, expected 9");
-      }
-    }
+  GCP_RETURN_NOT_OK(ParseEntryHeader(line.substr(prefix.size()), &e));
   if (!std::getline(is, line) || line.rfind("answer ", 0) != 0) {
     return Status::Corruption("missing answer bits");
   }
@@ -164,11 +174,9 @@ Status ParseEntryBlock(std::istream& is, const char* keyword, std::size_t i,
 Result<CacheSnapshot> ReadCacheSnapshot(std::istream& is) {
   CacheSnapshot snapshot;
   std::string magic, version;
-  if (!(is >> magic >> version) || magic != kMagic ||
-      (version != "v1" && version != "v2")) {
-    return Status::Corruption("not a GCPCACHE v1/v2 snapshot");
+  if (!(is >> magic >> version) || magic != kMagic || version != kVersion) {
+    return Status::Corruption("not a GCPCACHE v2 snapshot");
   }
-  const bool v2 = version == "v2";
   std::string key;
   std::size_t entry_count = 0;
   std::size_t fragment_count = 0;
@@ -181,7 +189,7 @@ Result<CacheSnapshot> ReadCacheSnapshot(std::istream& is) {
   if (!(is >> key >> entry_count) || key != "entries") {
     return Status::Corruption("missing entries record");
   }
-  if (v2 && (!(is >> key >> fragment_count) || key != "fragments")) {
+  if (!(is >> key >> fragment_count) || key != "fragments") {
     return Status::Corruption("missing fragments record");
   }
   std::string line;

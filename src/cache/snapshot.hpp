@@ -30,22 +30,17 @@ struct CacheSnapshot {
   /// Dataset id horizon at save time (sanity check on load).
   std::uint64_t id_horizon = 0;
   std::vector<CachedQuery> entries;
-  /// One-hop fragment entries (v2 payload; empty when restored from v1 —
-  /// the fragment store rebuilds cold, which only costs pruning power).
+  /// One-hop fragment entries.
   std::vector<CachedQuery> fragments;
 };
 
-/// Newest snapshot format: v2 = v1 plus a fragment section.
-inline constexpr int kCacheSnapshotVersion = 2;
+/// Writes `snapshot` as a "GCPCACHE v2" text stream.
+void WriteCacheSnapshot(std::ostream& os, const CacheSnapshot& snapshot);
 
-/// Writes `snapshot` as a versioned text stream. `version` selects the
-/// format (1 or 2); v1 drops the fragment section, which lets tests and
-/// downgrade tooling author authentic old-format bytes.
-void WriteCacheSnapshot(std::ostream& os, const CacheSnapshot& snapshot,
-                        int version = kCacheSnapshotVersion);
-
-/// Parses a snapshot stream (v1 or v2); rejects unknown versions and
-/// malformed records with Corruption.
+/// Parses a "GCPCACHE v2" stream; rejects any other version and malformed
+/// records with Corruption. An entry header must carry each of its nine
+/// fields exactly once: unsigned decimal counters and a finite,
+/// non-negative cost.
 Result<CacheSnapshot> ReadCacheSnapshot(std::istream& is);
 
 }  // namespace gcp

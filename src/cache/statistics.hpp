@@ -72,10 +72,6 @@ class StatisticsManager {
   /// Copy-on-write clones of the FTV summary vector — one per
   /// FTV-mutating sync batch.
   std::uint64_t snapshot_summary_copies = 0;
-  /// Survivor Graphs deep-copied under a shard lock by hit discovery —
-  /// zero when survivors share ownership of the resident graph (the
-  /// default), > 0 only on the copy_discovery_survivors oracle path.
-  std::uint64_t shard_lock_graph_copies = 0;
 
   // --- Durability counters (checkpointing + warm restart). The
   // checkpoint_* group is engine-level (the engine overlays it onto

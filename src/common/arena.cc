@@ -1,7 +1,5 @@
 #include "common/arena.hpp"
 
-#include <atomic>
-
 #include "common/alloc_fault.hpp"
 
 namespace gcp {
@@ -11,8 +9,6 @@ namespace {
 inline std::size_t AlignUp(std::size_t offset, std::size_t align) {
   return (offset + align - 1) & ~(align - 1);
 }
-
-std::atomic<bool> g_arena_enabled{true};
 
 }  // namespace
 
@@ -78,16 +74,7 @@ std::size_t Arena::BytesInUse() const {
   return total;
 }
 
-void SetArenaEnabled(bool enabled) {
-  g_arena_enabled.store(enabled, std::memory_order_relaxed);
-}
-
-bool ArenaEnabled() {
-  return g_arena_enabled.load(std::memory_order_relaxed);
-}
-
 Arena* ThreadArena() {
-  if (!ArenaEnabled()) return nullptr;
   thread_local Arena arena;
   return &arena;
 }

@@ -17,9 +17,8 @@
 //
 // Matcher scratch must live per-thread (PreparedPattern is shared across
 // concurrent searches; see match_context.hpp), so callers reach the arena
-// through ThreadArena(). SetArenaEnabled(false) makes ThreadArena()
-// return nullptr and every ScratchArray fall back to plain heap arrays —
-// the bit-exact "before" oracle for the benches.
+// through ThreadArena(). A ScratchArray falls back to a plain heap array
+// only when the arena's block growth is injected to fail.
 
 #ifndef GCP_COMMON_ARENA_HPP_
 #define GCP_COMMON_ARENA_HPP_
@@ -112,15 +111,9 @@ class Arena {
   std::size_t block_bytes_;
 };
 
-/// Process-wide switch for the thread arenas (default on). Off = every
-/// ScratchArray heap-allocates — the deep-alloc oracle path.
-void SetArenaEnabled(bool enabled);
-bool ArenaEnabled();
-
-/// The calling thread's scratch arena, or nullptr when arenas are
-/// disabled. The arena lives until thread exit; callers must release
-/// their allocations (ScratchArray does) so it stays empty between
-/// queries.
+/// The calling thread's scratch arena. It lives until thread exit;
+/// callers must release their allocations (ScratchArray does) so it stays
+/// empty between queries.
 Arena* ThreadArena();
 
 /// \brief Fixed-size scratch buffer of trivially-destructible T, arena-

@@ -20,6 +20,14 @@ namespace gcp {
 
 namespace {
 
+/// Verifies query-vs-cached-query containment and fragment stars; query
+/// graphs are small, so VF2+'s static order wins there.
+constexpr MatcherKind kInternalMatcher = MatcherKind::kVf2Plus;
+
+/// Cap on star fragments decomposed per query (largest stars first; the
+/// decomposition order is permutation-invariant).
+constexpr std::size_t kMaxFragmentsPerQuery = 8;
+
 /// Engine-total store options (per-shard splitting happens inside
 /// ShardedCache). Named assignment on purpose: a positional brace init
 /// here silently misbinds when CacheManagerOptions grows a field.
@@ -30,7 +38,6 @@ CacheManagerOptions MakeStoreOptions(const GraphCachePlusOptions& o,
   c.window_capacity = o.window_capacity;
   c.policy = o.policy;
   c.rng_seed = o.rng_seed;
-  c.maintain_relevance_index = o.use_relevance_index;
   c.fragment_capacity = o.use_fragment_cache ? o.fragment_capacity : 0;
   c.byte_budget = o.byte_budget;
   c.pressure = pressure;
@@ -64,9 +71,8 @@ GraphCachePlus::GraphCachePlus(GraphDataset* dataset,
                 : nullptr),
       ftv_(options.use_ftv_index ? std::make_unique<FtvIndex>(*dataset)
                                  : nullptr),
-      method_m_(options.method_m, *dataset, pool_.get(),
-                options.reuse_match_context),
-      internal_matcher_(MakeMatcher(options.internal_matcher)),
+      method_m_(options.method_m, *dataset, pool_.get()),
+      internal_matcher_(MakeMatcher(kInternalMatcher)),
       discovery_(*internal_matcher_, options_),
       pressure_(options.byte_budget > 0
                     ? std::make_unique<PressureMonitor>(
@@ -114,8 +120,8 @@ void GraphCachePlus::SyncWithDatasetLocked(QueryMetrics* metrics) {
         cache_.shard(s).PurgeForReconcile();
       }
     } else {
-      // CON: Algorithm 1 over the incremental records, then Algorithm 2 —
-      // relevance-screened or brute-force — per shard (paper §5.2).
+      // CON: Algorithm 1 over the incremental records, then Algorithm 2
+      // through each shard's relevance screen (paper §5.2).
       const std::vector<ChangeRecord> records = log.ExtractSince(watermark_);
       const ChangeCounters counters = LogAnalyzer::Analyze(records);
       CacheValidator::DeltaRevalidateFn delta_fn;
@@ -126,7 +132,7 @@ void GraphCachePlus::SyncWithDatasetLocked(QueryMetrics* metrics) {
       }
       const std::size_t horizon = dataset_->IdHorizon();
       for (std::size_t s = 0; s < cache_.num_shards(); ++s) {
-        ValidateShardStore(cache_.shard(s), counters, horizon, delta);
+        cache_.shard(s).ValidateRelevant(counters, horizon, delta);
       }
       if (options_.retrospective_budget > 0) {
         std::size_t budget = options_.retrospective_budget;
@@ -323,16 +329,6 @@ void GraphCachePlus::MaintenanceDrainPass() {
   MaybeBackgroundCheckpoint();
 }
 
-void GraphCachePlus::ValidateShardStore(
-    CacheManager& shard, const ChangeCounters& counters,
-    std::size_t id_horizon, const CacheValidator::DeltaRevalidateFn* delta) {
-  if (options_.use_relevance_index) {
-    shard.ValidateRelevant(counters, id_horizon, delta);
-  } else {
-    shard.ValidateAll(counters, id_horizon, delta);
-  }
-}
-
 CacheValidator::DeltaRevalidateFn GraphCachePlus::MakeDeltaRevalidator(
     const std::vector<ChangeRecord>& records) const {
   // The dataset is quiescent under the barrier, so its current state is
@@ -437,7 +433,6 @@ StatisticsManager GraphCachePlus::CacheStatsSnapshot() const {
   stats.read_phase_engine_lock_acquisitions =
       engine_lock_acquisitions_.load(std::memory_order_relaxed);
   stats.snapshot_summary_copies = ftv_ ? ftv_->summary_copies() : 0;
-  stats.shard_lock_graph_copies = discovery_.shard_lock_graph_copies();
   // Durability counters are engine-level (per-shard stores report 0 for
   // all but restored_entries, which AggregateStats already summed).
   stats.checkpoints_written =
@@ -780,7 +775,7 @@ void GraphCachePlus::ExecuteReadSlice(const Graph& g, QueryKind kind,
       options_.fragment_capacity > 0 && kind == QueryKind::kSubgraph &&
       !bypass_cache) {
     ScopedTimer timer(&m.t_fragment_ns);
-    fragments = DecomposeToFragments(g, options_.max_fragments_per_query);
+    fragments = DecomposeToFragments(g, kMaxFragmentsPerQuery);
   }
   std::vector<DynamicBitset> fragment_masks(fragments.size());
   std::vector<char> fragment_resident(fragments.size(), 0);

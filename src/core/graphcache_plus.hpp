@@ -399,14 +399,6 @@ class GraphCachePlus {
   CacheValidator::DeltaRevalidateFn MakeDeltaRevalidator(
       const std::vector<ChangeRecord>& records) const;
 
-  /// CON-validates one shard's store against `counters`: through the
-  /// change-relevance index (options_.use_relevance_index) or the
-  /// brute-force ValidateAll oracle — bit-exact either way. Requires the
-  /// shard's exclusive lock.
-  void ValidateShardStore(CacheManager& shard, const ChangeCounters& counters,
-                          std::size_t id_horizon,
-                          const CacheValidator::DeltaRevalidateFn* delta);
-
   GraphDataset* dataset_;
   GraphCachePlusOptions options_;
   std::unique_ptr<ThreadPool> pool_;

@@ -5,9 +5,9 @@
 namespace gcp {
 
 MethodM::MethodM(MatcherKind kind, const GraphDataset& dataset,
-                 ThreadPool* pool, bool reuse_context)
+                 ThreadPool* pool)
     : kind_(kind), matcher_(MakeMatcher(kind)), dataset_(dataset),
-      pool_(pool), reuse_context_(reuse_context) {}
+      pool_(pool) {}
 
 DynamicBitset MethodM::VerifyCandidates(const Graph& query, QueryKind kind,
                                         const DynamicBitset& candidates,
@@ -20,7 +20,7 @@ DynamicBitset MethodM::VerifyCandidates(const Graph& query, QueryKind kind,
   // label histogram. Supergraph queries swap roles per candidate — the
   // pattern varies, so there is nothing to reuse.
   std::unique_ptr<PreparedPattern> prepared;
-  if (reuse_context_ && kind == QueryKind::kSubgraph && !ids.empty()) {
+  if (kind == QueryKind::kSubgraph && !ids.empty()) {
     const LabelHistogram hist = dataset_.GlobalLabelHistogram();
     prepared = matcher_->Prepare(query, &hist);
   }
@@ -32,8 +32,7 @@ DynamicBitset MethodM::VerifyCandidates(const Graph& query, QueryKind kind,
     // Supergraph query: roles swap (the dataset graph must embed in the
     // query).
     if (kind == QueryKind::kSubgraph) {
-      return prepared != nullptr ? matcher.ContainsPrepared(*prepared, g)
-                                 : matcher.Contains(query, g);
+      return matcher.ContainsPrepared(*prepared, g);
     }
     return matcher.Contains(g, query);
   };

@@ -28,14 +28,12 @@ enum class QueryKind {
 class MethodM {
  public:
   /// `pool` may be nullptr (serial verification). The dataset reference
-  /// must outlive the MethodM instance. With `reuse_context` (default),
-  /// subgraph-query verification prepares the query's per-pattern state
-  /// (SubgraphMatcher::Prepare, rarity ranked by the dataset-wide label
-  /// histogram) once and reuses it across every candidate; `false` keeps
-  /// the per-pair formulation (the legacy hot path benches compare
-  /// against).
+  /// must outlive the MethodM instance. Subgraph-query verification
+  /// prepares the query's per-pattern state (SubgraphMatcher::Prepare,
+  /// rarity ranked by the dataset-wide label histogram) once and reuses it
+  /// across every candidate.
   MethodM(MatcherKind kind, const GraphDataset& dataset,
-          ThreadPool* pool = nullptr, bool reuse_context = true);
+          ThreadPool* pool = nullptr);
 
   /// Verifies `query` against every candidate id; returns the bitset of
   /// candidates that pass (same size as `candidates`). `tests_run`
@@ -52,7 +50,6 @@ class MethodM {
   std::unique_ptr<SubgraphMatcher> matcher_;
   const GraphDataset& dataset_;
   ThreadPool* pool_;
-  bool reuse_context_;
 };
 
 }  // namespace gcp

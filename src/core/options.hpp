@@ -32,10 +32,6 @@ struct GraphCachePlusOptions {
   /// GQL).
   MatcherKind method_m = MatcherKind::kVf2;
 
-  /// Matcher for GC+-internal query-vs-cached-query containment checks
-  /// (query graphs are small; VF2+ is a good default).
-  MatcherKind internal_matcher = MatcherKind::kVf2Plus;
-
   /// Cache / window capacities (paper defaults: 100 / 20).
   std::size_t cache_capacity = 100;
   std::size_t window_capacity = 20;
@@ -63,51 +59,19 @@ struct GraphCachePlusOptions {
   /// whatever CS_M Method M produces.
   bool use_ftv_index = false;
 
-  /// Reuse per-query match state (SubgraphMatcher::Prepare) across Method
-  /// M candidates and cache-resident containment checks instead of
-  /// re-deriving vertex order and label statistics per pair. Off = the
-  /// legacy per-pair hot path (kept for before/after benchmarking).
-  bool reuse_match_context = true;
-
-  /// Discover cache hits through the QueryIndex's inverted
-  /// feature-signature index instead of the O(resident) brute-force
-  /// feature scan. Both return identical candidate sets; off is the
-  /// legacy discovery path (kept for before/after benchmarking).
-  bool use_discovery_index = true;
-
-  /// Deep-copy each discovery survivor's Graph under the shard lock
-  /// instead of sharing ownership of the resident graph (the pre-PR 6
-  /// behaviour). The deep-copy path is the equivalence oracle for shared
-  /// ownership; StatisticsManager::shard_lock_graph_copies counts these
-  /// copies, so it must be zero whenever this is off.
-  bool copy_discovery_survivors = false;
-
-  /// Reconcile CON/EVI change batches through the change-relevance index
-  /// (cache/relevance_index): Algorithm 2's counter loop runs only over
-  /// entries whose CGvalid footprint intersects the batch; everything
-  /// else provably keeps its bits and is skipped. Off is the brute-force
-  /// ValidateAll oracle (bit-exact by construction; kept for
-  /// before/after benchmarking and equivalence gates).
-  bool use_relevance_index = true;
-
   /// Sub-pattern fragment cache: decompose each subgraph query into
   /// canonical one-hop star fragments (match/fragments), cache
   /// per-fragment candidate bitsets beside the whole-query entries, and
   /// on a whole-query miss intersect the valid fragment non-answers out
   /// of Method M's candidate set — a pruning tier between the FTV filter
   /// and sub-iso verification. Pruning-only: a stale or missing fragment
-  /// can never change an answer, so off is the bit-exact oracle (same
-  /// answers, same resident whole-query state, same replacement
-  /// decisions; kept for before/after benchmarking).
+  /// can never change an answer, so answers, the resident whole-query
+  /// state and replacement decisions are the same with the tier off.
   bool use_fragment_cache = true;
 
   /// Total fragment-store capacity across all shards (entries). 0
   /// disables the store outright even when use_fragment_cache is set.
   std::size_t fragment_capacity = 256;
-
-  /// Cap on star fragments decomposed per query (largest stars first;
-  /// the decomposition order is permutation-invariant).
-  std::size_t max_fragments_per_query = 8;
 
   /// Delta re-validation, CON only: for each (entry, dataset-graph) pair
   /// Algorithm 2 would invalidate, first try to prove the cached
@@ -142,9 +106,7 @@ struct GraphCachePlusOptions {
   /// Number of digest-sharded cache stores. Each shard owns its slice of
   /// the entries, inverted postings, statistics and replacement state
   /// under its own reader/writer lock, so a maintenance drain on one
-  /// shard never blocks hit discovery on another. 1 reproduces the PR 2/3
-  /// single-store engine bit-exactly (same admission order, same
-  /// replacement decisions).
+  /// shard never blocks hit discovery on another.
   std::size_t num_shards = 1;
 
   /// Run a dedicated maintenance thread that drains shard queues on
@@ -185,7 +147,7 @@ struct GraphCachePlusOptions {
   /// entry-count engine bit-exactly. Also arms the pressure monitor:
   /// ELEVATED pressure sheds new admission offers, CRITICAL additionally
   /// serves queries straight through uncached Method M. 0 = off (the
-  /// legacy entry-count model, no monitor).
+  /// entry-count model alone, no monitor).
   std::size_t byte_budget = 0;
 
   /// Seed for cache-internal randomness (RANDOM policy).

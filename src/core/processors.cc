@@ -116,8 +116,7 @@ void HitDiscovery::CollectShard(const GraphFeatures& features,
 
   // GC+sub processor shortlist: cached g' with (possibly) g ⊆ g'.
   // GC+super processor shortlist: cached g'' with (possibly) g'' ⊆ g.
-  // The shard's inverted feature-signature index (or brute-force scan on
-  // the legacy path — identical candidate sets) supplies the postings.
+  // The shard's inverted feature-signature index supplies the postings.
   std::vector<const CachedQuery*> sub_candidates;
   std::vector<const CachedQuery*> super_candidates;
   {
@@ -125,12 +124,8 @@ void HitDiscovery::CollectShard(const GraphFeatures& features,
     ScopedTimer discover_timer(metrics != nullptr ? &metrics->t_discover_ns
                                                   : &unused_ns);
     const QueryIndex& index = shard.index();
-    sub_candidates = options_.use_discovery_index
-                         ? index.SupergraphCandidates(features)
-                         : index.SupergraphCandidatesScan(features);
-    super_candidates = options_.use_discovery_index
-                           ? index.SubgraphCandidates(features)
-                           : index.SubgraphCandidatesScan(features);
+    sub_candidates = index.SupergraphCandidates(features);
+    super_candidates = index.SubgraphCandidates(features);
   }
 
   // Resolve processor outputs into positive/pruning roles: for subgraph
@@ -160,12 +155,7 @@ void HitDiscovery::CollectShard(const GraphFeatures& features,
     // (a refcount bump under the shard lock) instead of deep-copying it.
     // The bitsets ARE deep-copied — the validator rewrites them in place
     // under the exclusive shard lock, so they cannot be shared.
-    if (options_.copy_discovery_survivors) {
-      c.query = std::make_shared<const Graph>(*e->query);  // oracle path
-      graph_copies_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      c.query = e->query;
-    }
+    c.query = e->query;
     c.answer = e->answer;
     c.valid = e->valid;
     c.id = e->id;
@@ -229,11 +219,8 @@ DiscoveredHits HitDiscovery::ResolveHits(const Graph& g, QueryKind kind,
     // Positive direction: subgraph queries verify g ⊆ g'; supergraph
     // queries verify g'' ⊆ g.
     const bool contained =
-        positive_from_sub
-            ? (options_.reuse_match_context
-                   ? matcher_.ContainsPrepared(prepared(), *c.query)
-                   : matcher_.Contains(g, *c.query))
-            : matcher_.Contains(*c.query, g);
+        positive_from_sub ? matcher_.ContainsPrepared(prepared(), *c.query)
+                          : matcher_.Contains(*c.query, g);
     if (contained) hits.positive.push_back(TakeHit(c));
   }
 
@@ -247,11 +234,8 @@ DiscoveredHits HitDiscovery::ResolveHits(const Graph& g, QueryKind kind,
     // Pruning direction: subgraph queries verify g'' ⊆ g; supergraph
     // queries verify g ⊆ g'.
     const bool contained =
-        positive_from_sub
-            ? matcher_.Contains(*c.query, g)
-            : (options_.reuse_match_context
-                   ? matcher_.ContainsPrepared(prepared(), *c.query)
-                   : matcher_.Contains(g, *c.query));
+        positive_from_sub ? matcher_.Contains(*c.query, g)
+                          : matcher_.ContainsPrepared(prepared(), *c.query);
     if (!contained) continue;
     if (useful_for_empty_proof) {
       hits.empty_proof = TakeHit(c);

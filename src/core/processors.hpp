@@ -41,7 +41,6 @@
 #ifndef GCP_CORE_PROCESSORS_HPP_
 #define GCP_CORE_PROCESSORS_HPP_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -103,8 +102,7 @@ class HitDiscovery {
   /// query graph shared with the resident entry.
   struct Candidate {
     /// For containment verification after the merge. Shared ownership of
-    /// the resident entry's immutable graph (deep-copied only on the
-    /// copy_discovery_survivors oracle path).
+    /// the resident entry's immutable graph.
     std::shared_ptr<const Graph> query;
     DynamicBitset answer;
     DynamicBitset valid;
@@ -202,16 +200,9 @@ class HitDiscovery {
                     live, metrics);
   }
 
-  /// Survivor graphs deep-copied under a shard lock so far — stays zero
-  /// unless options.copy_discovery_survivors turns the oracle path on.
-  std::uint64_t shard_lock_graph_copies() const {
-    return graph_copies_.load(std::memory_order_relaxed);
-  }
-
  private:
   const SubgraphMatcher& matcher_;
   const GraphCachePlusOptions& options_;
-  mutable std::atomic<std::uint64_t> graph_copies_{0};
 };
 
 }  // namespace gcp

@@ -28,9 +28,9 @@ MatchContext MatchContext::Build(const Graph& pattern,
   // Greedy static order: most placed neighbours first, then rarest label,
   // then highest degree — the VF2+ ordering with the rarity table fixed up
   // front instead of re-derived per target.
-  // Build scratch comes off the thread arena (heap fallback when arenas
-  // are disabled) — Prepare runs once per query but for every cached
-  // containment probe too, so its temporaries sit on the hot path.
+  // Build scratch comes off the thread arena — Prepare runs once per
+  // query but for every cached containment probe too, so its temporaries
+  // sit on the hot path.
   Arena* const arena = ThreadArena();
   ScratchArray<unsigned char> placed(arena, n, 0);
   ScratchArray<int> placed_neighbors(arena, n, 0);

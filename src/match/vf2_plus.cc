@@ -22,7 +22,7 @@ std::vector<VertexId> StaticOrder(const Graph& pattern,
   std::vector<VertexId> order;
   order.reserve(n);
   // Per-pair scratch: arena bumps instead of two heap round-trips per
-  // (pattern, target) pair (heap fallback when arenas are disabled).
+  // (pattern, target) pair.
   Arena* const arena = ThreadArena();
   ScratchArray<unsigned char> placed(arena, n, 0);
   ScratchArray<int> placed_neighbors(arena, n, 0);

@@ -25,8 +25,9 @@ namespace gcp {
 /// candidate generation (Graph::NeighborsWithLabel) and per-vertex
 /// signature dominance pruning on top of the classic VF2+ feasibility
 /// rules. FindEmbedding keeps the per-pair formulation (target-specific
-/// rarity ordering) — it is the reference/legacy path benches compare
-/// against.
+/// rarity ordering): it serves checks whose pattern changes per pair
+/// (the supergraph direction) and is the reference the prepared path is
+/// tested against.
 class Vf2PlusMatcher : public SubgraphMatcher {
  public:
   std::string_view name() const override { return "VF2+"; }

@@ -85,16 +85,12 @@ RunReport RunWorkload(const std::vector<Graph>& initial,
   opts.verify_threads = config.verify_threads;
   opts.num_shards = config.shards;
   opts.maintenance_thread = config.maintenance_thread;
-  opts.copy_discovery_survivors = config.copy_discovery_survivors;
   opts.max_sub_hits = config.max_sub_hits;
   opts.max_super_hits = config.max_super_hits;
-  opts.use_relevance_index = config.relevance_index;
   opts.use_fragment_cache = config.fragments;
   opts.delta_revalidation = config.delta_revalidation;
   opts.retrospective_budget = config.retrospective_budget;
   opts.use_ftv_index = config.use_ftv;
-  opts.reuse_match_context = !config.legacy_hot_path;
-  opts.use_discovery_index = !config.legacy_hot_path;
   opts.checkpoint_dir = config.checkpoint_dir;
   opts.checkpoint_interval_us = config.checkpoint_interval_us;
   opts.byte_budget = config.byte_budget;

@@ -57,16 +57,8 @@ struct RunnerConfig {
   /// Drain maintenance on a dedicated thread (queue-pressure/timer
   /// wakeups) instead of opportunistic post-query try-lock drains.
   bool maintenance_thread = false;
-  /// Deep-copy each discovery survivor's Graph under the shard lock
-  /// instead of sharing ownership (the pre-PR 6 behaviour; the "before"
-  /// side of the copy-costs bench and the sharing equivalence oracle).
-  bool copy_discovery_survivors = false;
   std::size_t max_sub_hits = 16;
   std::size_t max_super_hits = 16;
-  /// Reconcile change batches through the change-relevance index (on,
-  /// the default) or the brute-force ValidateAll oracle (off) — bit-exact
-  /// either way; off is the "before" side of the reconciliation bench.
-  bool relevance_index = true;
   /// CON-only delta re-validation at reconcile time (default off):
   /// per-pair keep/re-verify instead of Algorithm 2's fade-only clears.
   bool delta_revalidation = false;
@@ -79,11 +71,6 @@ struct RunnerConfig {
   std::size_t retrospective_budget = 0;
   /// Equip Method M with the updatable FTV index (src/ftv).
   bool use_ftv = false;
-  /// Run the legacy hot path: per-pair match-state recomputation and
-  /// brute-force O(resident) hit discovery instead of reusable match
-  /// contexts and the inverted feature-signature index. Answers are
-  /// identical either way — this is the "before" side of the perf benches.
-  bool legacy_hot_path = false;
   /// Seed of the change-plan executor (same seed across modes ⇒ same
   /// dataset evolution).
   std::uint64_t plan_seed = 99;

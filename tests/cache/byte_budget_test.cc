@@ -232,7 +232,7 @@ TEST(ByteBudgetTest, FragmentStoreEnforcesByteSlicePerByteRanking) {
   auto probe = MakeFragment(1, {2});
   const std::uint64_t frag_bytes = ApproxEntryBytes(*probe);
   // Room for three small fragments; entry capacity never binds.
-  FragmentStore store(/*capacity=*/64, /*maintain_relevance_index=*/true,
+  FragmentStore store(/*capacity=*/64,
                       /*byte_budget=*/frag_bytes * 3 + frag_bytes / 2);
   StatisticsManager stats;
   ASSERT_TRUE(store.AdmitOrMerge(MakeFragment(1, {2}), 1, stats).ok());
@@ -269,7 +269,7 @@ TEST(ByteBudgetTest, AdmissionOomFaultLeavesStoreUntouched) {
 }
 
 TEST(ByteBudgetTest, FragmentOomFaultFailsFreshAdmissionButNotMerge) {
-  FragmentStore store(8, true);
+  FragmentStore store(8);
   StatisticsManager stats;
   ASSERT_TRUE(store.AdmitOrMerge(MakeFragment(1, {2}), 1, stats).ok());
 

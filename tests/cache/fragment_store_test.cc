@@ -37,7 +37,7 @@ std::unique_ptr<CachedQuery> MakeFragEntry(
 }
 
 TEST(FragmentStoreTest, ProbeFindsAdmittedStarAndRejectsMismatch) {
-  FragmentStore store(8, /*maintain_relevance_index=*/true);
+  FragmentStore store(8);
   StatisticsManager stats;
   auto entry = MakeFragEntry(1, {2, 3}, {0, 2}, {0, 1, 2});
   const std::uint64_t digest = entry->digest;
@@ -58,7 +58,7 @@ TEST(FragmentStoreTest, ProbeFindsAdmittedStarAndRejectsMismatch) {
 }
 
 TEST(FragmentStoreTest, MergeUnionsValidAndOverwritesCoveredAnswers) {
-  FragmentStore store(8, true);
+  FragmentStore store(8);
   StatisticsManager stats;
   // Resident: valid {0,1}, answer {0}. Offer: valid {1,2,3}, answer {3}
   // (and claims bit 1 is a non-answer — fresher knowledge of bit 1).
@@ -82,7 +82,7 @@ TEST(FragmentStoreTest, MergeUnionsValidAndOverwritesCoveredAnswers) {
 }
 
 TEST(FragmentStoreTest, TrueDigestCollisionDropsOffer) {
-  FragmentStore store(8, true);
+  FragmentStore store(8);
   StatisticsManager stats;
   auto first = MakeFragEntry(1, {2}, {0}, {0});
   const std::uint64_t digest = first->digest;
@@ -101,7 +101,7 @@ TEST(FragmentStoreTest, TrueDigestCollisionDropsOffer) {
 }
 
 TEST(FragmentStoreTest, CreditBumpsRecencyAndEvictionPicksColdest) {
-  FragmentStore store(2, true);
+  FragmentStore store(2);
   StatisticsManager stats;
   auto a = MakeFragEntry(1, {2}, {0}, {0});
   auto b = MakeFragEntry(3, {4}, {0}, {0});
@@ -131,8 +131,8 @@ TEST(FragmentStoreTest, ValidateRelevantMatchesValidateAll) {
   // Same content in two stores; a change batch touching graphs 2 (mixed
   // ops) and 5 (UA-only) must leave identical valid/answer bits whether
   // reconciled brute-force or through the relevance screen.
-  FragmentStore all(8, false);
-  FragmentStore relevant(8, true);
+  FragmentStore all(8);
+  FragmentStore relevant(8);
   StatisticsManager stats_all;
   StatisticsManager stats_rel;
   struct Spec {
@@ -184,7 +184,7 @@ TEST(FragmentStoreTest, ValidateRelevantMatchesValidateAll) {
 }
 
 TEST(FragmentStoreTest, PurgeForReconcileCountsAndClears) {
-  FragmentStore store(8, true);
+  FragmentStore store(8);
   StatisticsManager stats;
   store.AdmitOrMerge(MakeFragEntry(1, {2}, {0}, {0}), 1, stats);
   store.AdmitOrMerge(MakeFragEntry(3, {4}, {1}, {1}), 2, stats);
@@ -195,7 +195,7 @@ TEST(FragmentStoreTest, PurgeForReconcileCountsAndClears) {
 }
 
 TEST(FragmentStoreTest, ExportRestoreRoundTripsAndRecomputesKeys) {
-  FragmentStore store(8, true);
+  FragmentStore store(8);
   StatisticsManager stats;
   store.AdmitOrMerge(MakeFragEntry(1, {2, 3}, {0, 3}, {0, 1, 3}), 1, stats);
   store.AdmitOrMerge(MakeFragEntry(4, {5}, {2}, {2, 6}), 2, stats);
@@ -213,7 +213,7 @@ TEST(FragmentStoreTest, ExportRestoreRoundTripsAndRecomputesKeys) {
   EXPECT_EQ(true_digest, StarDigest(exported[0].query->labels()));
   exported[0].digest = 0x1234;
 
-  FragmentStore fresh(8, true);
+  FragmentStore fresh(8);
   StatisticsManager fresh_stats;
   fresh.Restore(std::move(exported), fresh_stats);
   EXPECT_EQ(fresh.size(), 2u);
@@ -234,7 +234,7 @@ TEST(FragmentStoreTest, ExportRestoreRoundTripsAndRecomputesKeys) {
 }
 
 TEST(FragmentStoreTest, RestoreKeepsBestWhenOverCapacity) {
-  FragmentStore store(8, true);
+  FragmentStore store(8);
   StatisticsManager stats;
   auto a = MakeFragEntry(1, {2}, {0}, {0});
   auto b = MakeFragEntry(3, {4}, {1}, {1});
@@ -246,7 +246,7 @@ TEST(FragmentStoreTest, RestoreKeepsBestWhenOverCapacity) {
   store.Credit(db, /*pruned=*/100, /*now=*/4, stats);
 
   std::vector<CachedQuery> exported = store.Export();
-  FragmentStore small(1, true);
+  FragmentStore small(1);
   StatisticsManager small_stats;
   small.Restore(std::move(exported), small_stats);
   EXPECT_EQ(small.size(), 1u);
@@ -259,7 +259,7 @@ TEST(FragmentStoreTest, RestoreKeepsBestWhenOverCapacity) {
 }
 
 TEST(FragmentStoreTest, RestoreDropsNonCanonicalStar) {
-  FragmentStore store(8, true);
+  FragmentStore store(8);
   StatisticsManager stats;
   store.AdmitOrMerge(MakeFragEntry(1, {2}, {0}, {0, 1}), 1, stats);
   std::vector<CachedQuery> exported = store.Export();
@@ -273,7 +273,7 @@ TEST(FragmentStoreTest, RestoreDropsNonCanonicalStar) {
   path.digest = StarDigest(star_labels);
   exported.push_back(std::move(path));
 
-  FragmentStore fresh(8, true);
+  FragmentStore fresh(8);
   StatisticsManager fresh_stats;
   fresh.Restore(std::move(exported), fresh_stats);
   EXPECT_EQ(fresh.size(), 1u);

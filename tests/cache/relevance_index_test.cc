@@ -210,18 +210,17 @@ TEST(RelevanceIndexTest, CollectAffectedAscendingAndDeduped) {
 // admit / evict / purge / restore, and ValidateRelevant is bit-exact
 // against the brute-force oracle on randomized batches.
 
-CacheManagerOptions ManagerOptions(bool maintain, std::size_t cache = 64,
+CacheManagerOptions ManagerOptions(std::size_t cache = 64,
                                    std::size_t window = 8) {
   CacheManagerOptions opts;
   opts.cache_capacity = cache;
   opts.window_capacity = window;
   opts.policy = ReplacementPolicy::kPin;
-  opts.maintain_relevance_index = maintain;
   return opts;
 }
 
 TEST(RelevanceIndexManagerTest, AdmitEvictPurgeRestoreKeepIndexInSync) {
-  CacheManager cm(ManagerOptions(true, /*cache=*/2, /*window=*/2));
+  CacheManager cm(ManagerOptions(/*cache=*/2, /*window=*/2));
   const std::size_t horizon = 8;
   auto admit = [&](Label tag, std::uint64_t now) {
     DynamicBitset answer(horizon);
@@ -248,7 +247,7 @@ TEST(RelevanceIndexManagerTest, AdmitEvictPurgeRestoreKeepIndexInSync) {
   EXPECT_EQ(cm.stats().reconcile_entries_touched, resident_before);
 
   // Restore re-registers entries under fresh ids.
-  CacheManager donor(ManagerOptions(true));
+  CacheManager donor(ManagerOptions());
   {
     DynamicBitset answer(horizon);
     answer.Set(1);
@@ -259,15 +258,6 @@ TEST(RelevanceIndexManagerTest, AdmitEvictPurgeRestoreKeepIndexInSync) {
   cm.RestoreEntries(donor.ExportEntries());
   EXPECT_EQ(cm.resident(), 1u);
   EXPECT_EQ(cm.relevance_index().size(), 1u);
-}
-
-TEST(RelevanceIndexManagerTest, OracleManagerKeepsIndexEmpty) {
-  CacheManager cm(ManagerOptions(false));
-  DynamicBitset answer(4);
-  DynamicBitset valid(4, true);
-  cm.Admit(MakePath({0, 0}), CachedQueryKind::kSubgraph, std::move(answer),
-           std::move(valid), 0, 1.0);
-  EXPECT_EQ(cm.relevance_index().size(), 0u);
 }
 
 std::string BitsetString(const DynamicBitset& bits) {
@@ -290,16 +280,33 @@ std::vector<std::string> StateOf(const CacheManager& cm) {
   return out;
 }
 
-TEST(RelevanceIndexManagerTest, ValidateRelevantMatchesOracleRandomized) {
-  // Two stores built identically — one reconciles through the relevance
-  // index, the other brute-force. After every randomized batch all
-  // resident bitsets must be identical, and the accounting invariants
-  // must hold: touched + skipped == resident per event on the indexed
-  // store, skipped == 0 always on the oracle.
+/// Deterministic stand-in for the engine's delta re-validation hook,
+/// keyed on (entry id, graph id) so both stores see the same outcome for
+/// the same pair: it keeps a third of the bits Algorithm 2 would clear,
+/// re-verifies a third with a flipped answer (so the relevance footprint
+/// must widen to the other polarity), and lets the rest fall through to
+/// the clear.
+bool FixedDeltaHook(CachedQuery& e, GraphId g, StatisticsManager& stats) {
+  switch ((7 * e.id + g) % 3) {
+    case 0:
+      ++stats.delta_revalidations;
+      return true;
+    case 1:
+      e.answer.Set(g, !e.answer.Test(g));
+      e.valid.Set(g, true);
+      ++stats.delta_fallback_full_checks;
+      return true;
+    default:
+      return false;
+  }
+}
+
+void RunValidateRelevantVsOracle(
+    const CacheValidator::DeltaRevalidateFn* delta) {
   Rng rng(1234);
   const std::size_t horizon = 300;  // several 64-id blocks
-  CacheManager indexed(ManagerOptions(true));
-  CacheManager oracle(ManagerOptions(false));
+  CacheManager indexed(ManagerOptions());
+  CacheManager oracle(ManagerOptions());
   for (std::size_t n = 0; n < 40; ++n) {
     const auto kind = (n % 3 == 0) ? CachedQueryKind::kSupergraph
                                    : CachedQueryKind::kSubgraph;
@@ -307,11 +314,14 @@ TEST(RelevanceIndexManagerTest, ValidateRelevantMatchesOracleRandomized) {
     DynamicBitset valid(horizon);
     // Valid bits confined to one random 64-id block per entry, so
     // footprints are localized and the screen has something to skip
-    // (answer bits land anywhere — only valid∧answer matters).
+    // (answer bits land anywhere — only valid∧answer matters). Every
+    // fourth entry answers everything and every fourth nothing, so their
+    // footprints hold one polarity only.
     const std::size_t lo = rng.UniformBelow(horizon / 64) * 64;
     const std::size_t hi = std::min(horizon, lo + 64);
     for (std::size_t i = 0; i < horizon; ++i) {
-      if (rng.UniformBelow(4) == 0) answer.Set(i);
+      const bool coin = rng.UniformBelow(4) == 0;
+      if (n % 4 == 1 || (n % 4 != 3 && coin)) answer.Set(i);
       if (i >= lo && i < hi && rng.UniformBelow(3) != 0) valid.Set(i);
     }
     const Label tag = static_cast<Label>(n);
@@ -323,15 +333,17 @@ TEST(RelevanceIndexManagerTest, ValidateRelevantMatchesOracleRandomized) {
 
   std::uint64_t events = 0;
   for (std::size_t round = 0; round < 50; ++round) {
-    // Localized batch: a handful of ops inside one random 64-id block,
-    // plus occasionally a far-away op, mixing all four op types.
+    // Localized batch: a handful of ops inside one random 64-id block.
+    // A third of the batches add edges only and a third remove edges only
+    // (the polarity-specific screens); the rest mix all four op types.
     ChangeLog log;
     const GraphId base =
         static_cast<GraphId>(rng.UniformBelow(horizon / 64) * 64);
     const std::size_t ops = 1 + rng.UniformBelow(5);
+    const std::size_t batch_kind = rng.UniformBelow(3);
     for (std::size_t k = 0; k < ops; ++k) {
       const GraphId id = base + static_cast<GraphId>(rng.UniformBelow(64));
-      switch (rng.UniformBelow(4)) {
+      switch (batch_kind == 2 ? rng.UniformBelow(4) : batch_kind) {
         case 0:
           log.Append(ChangeType::kEdgeAdd, id);
           break;
@@ -347,8 +359,8 @@ TEST(RelevanceIndexManagerTest, ValidateRelevantMatchesOracleRandomized) {
       }
     }
     const ChangeCounters counters = LogAnalyzer::Analyze(log.ExtractSince(0));
-    indexed.ValidateRelevant(counters, horizon);
-    oracle.ValidateAll(counters, horizon);
+    indexed.ValidateRelevant(counters, horizon, delta);
+    oracle.ValidateAll(counters, horizon, delta);
     ++events;
     ASSERT_EQ(StateOf(indexed), StateOf(oracle)) << "round " << round;
     EXPECT_EQ(indexed.stats().reconcile_entries_touched +
@@ -361,12 +373,38 @@ TEST(RelevanceIndexManagerTest, ValidateRelevantMatchesOracleRandomized) {
   EXPECT_GT(indexed.stats().reconcile_entries_skipped, 0u);
   EXPECT_EQ(oracle.stats().reconcile_entries_touched,
             events * oracle.resident());
+  // The screen skips only entries whose pairs never reach the clear site,
+  // so the hook saw the same pairs in both stores.
+  EXPECT_EQ(indexed.stats().delta_revalidations,
+            oracle.stats().delta_revalidations);
+  EXPECT_EQ(indexed.stats().delta_fallback_full_checks,
+            oracle.stats().delta_fallback_full_checks);
+  if (delta != nullptr) {
+    EXPECT_GT(oracle.stats().delta_revalidations, 0u);
+    EXPECT_GT(oracle.stats().delta_fallback_full_checks, 0u);
+  }
+}
+
+TEST(RelevanceIndexManagerTest, ValidateRelevantMatchesOracleRandomized) {
+  // Two stores built identically — one reconciles through the relevance
+  // index, the other brute-force (ValidateAll, the reference). After every
+  // randomized batch all resident bitsets must be identical, and the
+  // accounting invariants must hold: touched + skipped == resident per
+  // event on the indexed store, skipped == 0 always on the reference.
+  // Once with Algorithm 2 alone, once with a delta hook.
+  {
+    SCOPED_TRACE("fade-only");
+    RunValidateRelevantVsOracle(nullptr);
+  }
+  const CacheValidator::DeltaRevalidateFn hook = FixedDeltaHook;
+  SCOPED_TRACE("delta hook");
+  RunValidateRelevantVsOracle(&hook);
 }
 
 TEST(RelevanceIndexManagerTest, ValidateRelevantExtendsAllIndicators) {
   // Extension to a new horizon applies to every resident entry even when
   // the batch affects none of them (new ids default to invalid).
-  CacheManager cm(ManagerOptions(true));
+  CacheManager cm(ManagerOptions());
   DynamicBitset answer(4);
   DynamicBitset valid(4, true);
   cm.Admit(MakePath({0, 0}), CachedQueryKind::kSubgraph, std::move(answer),

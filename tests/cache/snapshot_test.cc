@@ -72,35 +72,65 @@ TEST(SnapshotTest, StreamRoundTrip) {
   EXPECT_EQ(s.entries[1].kind, CachedQueryKind::kSupergraph);
 }
 
+/// Well-formed entry header fields; the rejection cases below each break
+/// one thing about them.
+constexpr char kEntryFields[] =
+    "kind=0 admitted=0 last_used=0 hits=0 tests_saved=0 exact=0 sub=0 "
+    "super=0 cost=0";
+
+/// A v2 stream holding one entry with header `fields` over 2 graphs.
+std::string OneEntryStream(const std::string& fields,
+                           const char* header = "GCPCACHE v2") {
+  return std::string(header) +
+         "\nwatermark 0\nhorizon 2\nentries 1\nfragments 0\nentry " + fields +
+         "\nanswer 00\nvalid 00\nt # 0\nv 0 1\nendentry\n";
+}
+
+StatusCode ReadCode(const std::string& text) {
+  std::istringstream is(text);
+  return ReadCacheSnapshot(is).status().code();
+}
+
+std::string Replace(std::string s, const std::string& from,
+                    const std::string& to) {
+  return s.replace(s.find(from), from.size(), to);
+}
+
 TEST(SnapshotTest, RejectsGarbage) {
-  {
-    std::istringstream is("not a snapshot");
-    EXPECT_EQ(ReadCacheSnapshot(is).status().code(), StatusCode::kCorruption);
-  }
-  {
-    std::istringstream is("GCPCACHE v9\nwatermark 0\n");
-    EXPECT_FALSE(ReadCacheSnapshot(is).ok());
-  }
+  EXPECT_EQ(ReadCode("not a snapshot"), StatusCode::kCorruption);
+  EXPECT_EQ(ReadCode("GCPCACHE v9\nwatermark 0\n"), StatusCode::kCorruption);
+  // The well-formed stream parses, so each case below fails on its own
+  // defect.
+  ASSERT_EQ(ReadCode(OneEntryStream(kEntryFields)), StatusCode::kOk);
   {
     // Truncated entry block.
-    std::istringstream is(
-        "GCPCACHE v1\nwatermark 0\nhorizon 2\nentries 1\n"
-        "entry kind=0 admitted=0 last_used=0 hits=0 tests_saved=0 exact=0 "
-        "sub=0 super=0 cost=0\nanswer 00\nvalid 00\nt # 0\nv 0 1\n");
-    EXPECT_EQ(ReadCacheSnapshot(is).status().code(), StatusCode::kCorruption);
+    std::string text = OneEntryStream(kEntryFields);
+    text.resize(text.size() - std::string("endentry\n").size());
+    EXPECT_EQ(ReadCode(text), StatusCode::kCorruption);
   }
-  {
-    // answer/valid width mismatch.
-    std::istringstream is(
-        "GCPCACHE v1\nwatermark 0\nhorizon 2\nentries 1\n"
-        "entry kind=0 admitted=0 last_used=0 hits=0 tests_saved=0 exact=0 "
-        "sub=0 super=0 cost=0\nanswer 00\nvalid 000\nt # 0\nv 0 1\n"
-        "endentry\n");
-    EXPECT_EQ(ReadCacheSnapshot(is).status().code(), StatusCode::kCorruption);
+  // answer/valid width mismatch.
+  EXPECT_EQ(ReadCode(Replace(OneEntryStream(kEntryFields), "valid 00",
+                             "valid 000")),
+            StatusCode::kCorruption);
+  const std::string fields = kEntryFields;
+  for (const std::string& bad : {
+           Replace(fields, "hits=0", "hits="),         // empty value
+           Replace(fields, "hits=0", "hits=-1"),       // signed counter
+           Replace(fields, "hits=0", "hits=0x1"),      // trailing junk
+           Replace(fields, "hits=0", "hits=99999999999999999999"),  // > 64 bit
+           Replace(Replace(fields, "hits=0", "hits=3"), "cost=0",
+                   "hits=3"),                          // duplicate, no cost
+           Replace(fields, "cost=0", "cost=nan"),      // NaN cost
+           Replace(fields, "cost=0", "cost=inf"),      // infinite cost
+           Replace(fields, "cost=0", "cost=-0.5"),     // negative cost
+           Replace(fields, " cost=0", ""),             // missing field
+           fields + " extra=1",                        // unknown field
+       }) {
+    EXPECT_EQ(ReadCode(OneEntryStream(bad)), StatusCode::kCorruption) << bad;
   }
 }
 
-TEST(SnapshotTest, FragmentSectionRoundTripsAndV1DropsIt) {
+TEST(SnapshotTest, FragmentSectionRoundTripsAndV1IsRejected) {
   CacheSnapshot original = SampleSnapshot();
   CachedQuery f;
   f.kind = CachedQueryKind::kSubgraph;
@@ -111,7 +141,6 @@ TEST(SnapshotTest, FragmentSectionRoundTripsAndV1DropsIt) {
   f.tests_saved = 3;
   original.fragments.push_back(std::move(f));
   {
-    // v2 carries the fragment section.
     std::ostringstream os;
     WriteCacheSnapshot(os, original);
     std::istringstream is(os.str());
@@ -124,18 +153,15 @@ TEST(SnapshotTest, FragmentSectionRoundTripsAndV1DropsIt) {
     EXPECT_EQ(g.valid, original.fragments[0].valid);
     EXPECT_EQ(g.tests_saved, 3u);
   }
-  {
-    // A v1 stream of the same cache loads with the whole-query entries
-    // intact and the fragment store cold — the backward-compat contract.
-    std::ostringstream os;
-    WriteCacheSnapshot(os, original, /*version=*/1);
-    EXPECT_EQ(os.str().find("fragment"), std::string::npos);
-    std::istringstream is(os.str());
-    auto parsed = ReadCacheSnapshot(is);
-    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    EXPECT_EQ(parsed.value().entries.size(), 2u);
-    EXPECT_TRUE(parsed.value().fragments.empty());
-  }
+  // A hand-written v1 stream (no fragments record) is a retired format:
+  // Corruption, never a partial restore.
+  EXPECT_EQ(ReadCode("GCPCACHE v1\nwatermark 0\nhorizon 2\nentries 1\nentry " +
+                     std::string(kEntryFields) +
+                     "\nanswer 00\nvalid 00\nt # 0\nv 0 1\nendentry\n"),
+            StatusCode::kCorruption);
+  // The v1 header on an otherwise v2-shaped stream is rejected as well.
+  EXPECT_EQ(ReadCode(OneEntryStream(kEntryFields, "GCPCACHE v1")),
+            StatusCode::kCorruption);
 }
 
 std::vector<Graph> Molecules() {

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "common/alloc_fault.hpp"
@@ -84,15 +85,14 @@ TEST(ArenaTest, ScratchArrayHeapFallback) {
   EXPECT_EQ(heap[4], 42);
 }
 
-TEST(ArenaTest, ThreadArenaHonoursEnableToggle) {
-  ASSERT_TRUE(ArenaEnabled());
+TEST(ArenaTest, ThreadArenaIsStableAndPerThread) {
   Arena* a = ThreadArena();
   ASSERT_NE(a, nullptr);
   EXPECT_EQ(ThreadArena(), a);  // stable per thread
-  SetArenaEnabled(false);
-  EXPECT_EQ(ThreadArena(), nullptr);
-  SetArenaEnabled(true);
-  EXPECT_EQ(ThreadArena(), a);
+  Arena* other = nullptr;
+  std::thread([&other] { other = ThreadArena(); }).join();
+  EXPECT_NE(other, nullptr);
+  EXPECT_NE(other, a);  // one arena per thread
 }
 
 TEST(ArenaTest, TryAllocateFailsOnlyOnInjectedBlockGrowth) {

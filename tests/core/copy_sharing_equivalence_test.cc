@@ -1,19 +1,14 @@
-// Copy-cost equivalence gates (PR 6), in two halves:
+// Copy-cost equivalence gates, in two halves:
 //
 // 1. CopySharingEquivalenceTest — over a 300-step churn of interleaved
-//    queries and dataset changes, the shipped configuration (survivors
-//    share ownership of the resident graph, thread-arena scratch, SIMD
-//    kernels at the widest detected level) must replay the full oracle
-//    configuration
-//    (deep-copied survivors, plain-heap scratch, scalar kernels)
-//    bit-exactly: same answers, same resident population, same
-//    admission/eviction/hit counters.
+//    queries and dataset changes, the SIMD kernels at the widest detected
+//    level must replay the scalar kernels bit-exactly: same answers, same
+//    resident population, same admission/eviction/hit counters. (That
+//    discovery survivors share the resident graph instead of copying it
+//    is pinned by ProcessorsTest.CollectShardSurvivorsShareResidentGraphs.)
 //
-// 2. Counter semantics: StatisticsManager::shard_lock_graph_copies is
-//    pinned to zero whenever survivors share ownership (and is the only
-//    thing the deep-copy oracle moves), and snapshot_summary_copies
-//    increments exactly once per FTV-mutating change batch — zero on a
-//    churn-free run.
+// 2. Counter semantics: snapshot_summary_copies increments exactly once
+//    per FTV-mutating change batch — zero on a churn-free run.
 
 #include <gtest/gtest.h>
 
@@ -22,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/simd.hpp"
 #include "core/graphcache_plus.hpp"
 #include "dataset/aids_like.hpp"
@@ -43,12 +37,10 @@ std::vector<Graph> SmallCorpus(std::uint64_t seed) {
   return AidsLikeGenerator(opts).Generate();
 }
 
-/// One engine configuration under comparison, including the
-/// process-global toggles it runs its queries under.
+/// One engine under comparison and the process-global SIMD dispatch cap
+/// it runs its queries under.
 struct PathConfig {
   std::string label;
-  bool copy_survivors = false;
-  bool arena = true;
   simd::SimdLevel simd_level = simd::SimdLevel::kScalar;
 };
 
@@ -57,12 +49,9 @@ struct EngineUnderTest {
   std::unique_ptr<GraphDataset> ds;
   std::unique_ptr<GraphCachePlus> gc;
 
-  /// Applies this engine's process-global toggles; call before every
-  /// interaction (the engines in one replay run under different ones).
-  void Activate() const {
-    SetArenaEnabled(cfg.arena);
-    simd::SetSimdLevel(cfg.simd_level);
-  }
+  /// Applies this engine's dispatch cap; call before every interaction
+  /// (the engines in one replay run under different ones).
+  void Activate() const { simd::SetSimdLevel(cfg.simd_level); }
 };
 
 EngineUnderTest MakeEngine(const std::vector<Graph>& corpus, CacheModel model,
@@ -76,7 +65,6 @@ EngineUnderTest MakeEngine(const std::vector<Graph>& corpus, CacheModel model,
   opts.cache_capacity = 16;
   opts.window_capacity = 4;
   opts.num_shards = 2;
-  opts.copy_discovery_survivors = cfg.copy_survivors;
   opts.use_ftv_index = true;  // summary-clone accounting live everywhere
   e.gc = std::make_unique<GraphCachePlus>(e.ds.get(), opts);
   return e;
@@ -108,12 +96,9 @@ std::vector<std::uint64_t> SortedResidentDigests(const GraphCachePlus& gc) {
   return digests;
 }
 
-/// Restores the default process-global toggles when a test exits.
+/// Restores the default dispatch cap when a test exits.
 struct ToggleGuard {
-  ~ToggleGuard() {
-    SetArenaEnabled(true);
-    simd::SetSimdLevel(simd::DetectedSimdLevel());
-  }
+  ~ToggleGuard() { simd::SetSimdLevel(simd::DetectedSimdLevel()); }
 };
 
 void RunChurnReplay(CacheModel model) {
@@ -123,11 +108,10 @@ void RunChurnReplay(CacheModel model) {
   const Workload w = GenerateTypeAByName(corpus, "ZU", kSteps, /*seed=*/909,
                                          /*zipf_alpha=*/1.2);
 
-  // The full "before" oracle, then the shipped configuration.
-  const PathConfig oracle_cfg{"oracle(copy+heap+scalar)", true, false,
-                              simd::SimdLevel::kScalar};
+  // The scalar oracle, then the shipped configuration.
+  const PathConfig oracle_cfg{"scalar", simd::SimdLevel::kScalar};
   const std::vector<PathConfig> variant_cfgs = {
-      {"shared+arena+simd", false, true, simd::DetectedSimdLevel()},
+      {"simd", simd::DetectedSimdLevel()},
   };
 
   EngineUnderTest oracle = MakeEngine(corpus, model, oracle_cfg);
@@ -183,10 +167,9 @@ void RunChurnReplay(CacheModel model) {
   const std::vector<std::uint64_t> oracle_digests =
       SortedResidentDigests(*oracle.gc);
 
-  // The oracle really exercised the deep-copy path, and its summary
-  // clones happened exactly once per mutating batch.
+  // The oracle admitted queries, and its summary clones happened exactly
+  // once per mutating batch.
   EXPECT_GT(oracle_stats.total_admissions, 0u);
-  EXPECT_GT(oracle_stats.shard_lock_graph_copies, 0u);
   EXPECT_EQ(oracle_stats.snapshot_summary_copies, mutation_batches);
 
   for (EngineUnderTest& e : variants) {
@@ -208,19 +191,17 @@ void RunChurnReplay(CacheModel model) {
         << e.cfg.label;
     EXPECT_EQ(stats.total_super_hits, oracle_stats.total_super_hits)
         << e.cfg.label;
-    // ...with ZERO graphs deep-copied under a shard lock, and the same
-    // one-clone-per-mutating-batch FTV accounting.
-    EXPECT_EQ(stats.shard_lock_graph_copies, 0u) << e.cfg.label;
+    // ...and the same one-clone-per-mutating-batch FTV accounting.
     EXPECT_EQ(stats.snapshot_summary_copies, mutation_batches)
         << e.cfg.label;
   }
 }
 
-TEST(CopySharingEquivalenceTest, BitExactVsDeepCopyOracleCon) {
+TEST(CopySharingEquivalenceTest, SimdBitExactVsScalarCon) {
   RunChurnReplay(CacheModel::kCon);
 }
 
-TEST(CopySharingEquivalenceTest, BitExactVsDeepCopyOracleEvi) {
+TEST(CopySharingEquivalenceTest, SimdBitExactVsScalarEvi) {
   RunChurnReplay(CacheModel::kEvi);
 }
 
@@ -230,8 +211,7 @@ TEST(CopySharingEquivalenceTest, NoMutationsMeansNoSummaryCopies) {
   const Workload w = GenerateTypeAByName(corpus, "ZZ", 40, /*seed=*/17,
                                          /*zipf_alpha=*/1.2);
   EngineUnderTest e = MakeEngine(
-      corpus, CacheModel::kCon,
-      PathConfig{"shared", false, true, simd::DetectedSimdLevel()});
+      corpus, CacheModel::kCon, PathConfig{"simd", simd::DetectedSimdLevel()});
   e.Activate();
   for (std::size_t i = 0; i < w.size(); ++i) {
     e.gc->Query(w.queries[i].query,
@@ -241,7 +221,6 @@ TEST(CopySharingEquivalenceTest, NoMutationsMeansNoSummaryCopies) {
   const StatisticsManager stats = e.gc->CacheStatsSnapshot();
   // With no FTV-mutating batch not one clone of the summaries is allowed.
   EXPECT_EQ(stats.snapshot_summary_copies, 0u);
-  EXPECT_EQ(stats.shard_lock_graph_copies, 0u);
   EXPECT_GT(stats.total_admissions, 0u);
 }
 

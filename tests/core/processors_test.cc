@@ -252,5 +252,29 @@ TEST_F(ProcessorsTest, ZeroUtilityEntriesSkipped) {
   EXPECT_TRUE(hits.positive.empty());
 }
 
+TEST_F(ProcessorsTest, CollectShardSurvivorsShareResidentGraphs) {
+  // Survivors alias the resident entry's immutable graph (a refcount bump
+  // under the shard lock); none is a deep copy. Both roles, both kinds.
+  for (const CachedQueryKind kind :
+       {CachedQueryKind::kSubgraph, CachedQueryKind::kSupergraph}) {
+    AdmitEntry(MakePath({0, 1, 2}), 4, {1, 2}, {}, kind);
+    AdmitEntry(MakeSingleton(0), 4, {1, 2}, {}, kind);
+  }
+  const HitDiscovery d = MakeDiscovery();
+  const GraphFeatures features = GraphFeatures::Extract(MakePath({0, 1}));
+  for (const QueryKind kind : {QueryKind::kSubgraph, QueryKind::kSupergraph}) {
+    std::vector<HitDiscovery::Candidate> survivors;
+    d.CollectShard(features, kind, cache_, DynamicBitset(4, true), &survivors,
+                   nullptr);
+    ASSERT_EQ(survivors.size(), 2u);
+    EXPECT_NE(survivors[0].positive_role, survivors[1].positive_role);
+    for (const HitDiscovery::Candidate& c : survivors) {
+      const CachedQuery* e = cache_.Find(c.id);
+      ASSERT_NE(e, nullptr);
+      EXPECT_EQ(c.query.get(), e->query.get()) << "entry " << c.id;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gcp

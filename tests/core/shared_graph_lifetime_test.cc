@@ -110,9 +110,6 @@ void RunEvictionStorm(CacheModel model) {
 
   gc.FlushMaintenance();
   EXPECT_EQ(answered.load(), w.size());
-  // Sharing did its job under the storm: not one graph was deep-copied
-  // under a shard lock.
-  EXPECT_EQ(gc.CacheStatsSnapshot().shard_lock_graph_copies, 0u);
   EXPECT_EQ(gc.cache_shards().lock_violations(), 0u);
 }
 

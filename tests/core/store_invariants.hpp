@@ -38,7 +38,6 @@ inline void ExpectStoreInvariants(const GraphCachePlus& gc,
       entry_bytes += ApproxEntryBytes(e);
       EXPECT_EQ(e.approx_bytes, ApproxEntryBytes(e))
           << label << " shard " << s << " entry " << e.id;
-      if (!shard.options().maintain_relevance_index) return;
       const RelevanceIndex::Footprint* fp =
           shard.relevance_index().footprint(e.id);
       ASSERT_NE(fp, nullptr) << label << " entry " << e.id << " unindexed";
