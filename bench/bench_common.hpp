@@ -12,6 +12,8 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -24,6 +26,20 @@
 #include "workload/type_b.hpp"
 
 namespace gcp::bench {
+
+/// Reads a count flag through Flags::GetCount, bounded by T's range. A
+/// negative, overflowing or malformed value is a usage error: it prints
+/// the reason and exits 2 instead of wrapping or falling back.
+template <typename T>
+T CountFlag(const Flags& flags, const std::string& key, T def) {
+  const Result<std::uint64_t> v =
+      flags.GetCount(key, def, std::numeric_limits<T>::max());
+  if (!v.ok()) {
+    std::fprintf(stderr, "usage error: %s\n", v.status().message().c_str());
+    std::exit(2);
+  }
+  return static_cast<T>(v.value());
+}
 
 /// All experiment knobs, with scaled-down defaults.
 struct BenchConfig {
@@ -62,9 +78,6 @@ struct BenchConfig {
   std::size_t shards = 1;
   /// Dedicated maintenance drain thread (--maintenance-thread).
   bool maintenance_thread = false;
-  /// CON-only delta re-validation at reconcile time
-  /// (--delta-revalidation; default off = Algorithm 2 fade-only).
-  bool delta_revalidation = false;
   /// Sub-pattern fragment cache (--fragments=off = the fragment-free
   /// oracle, bit-exact on answers, resident whole-query state and
   /// replacement decisions — the "before" side of bench_fragments).
@@ -82,7 +95,7 @@ struct BenchConfig {
   /// (--warm-restart; degrades to cold start when nothing usable exists).
   bool warm_restart = false;
   /// Byte-accounted capacity cap (--byte-budget=off|N; 0/off = the
-  /// entry-count legacy model, bit-exact). Arms the pressure monitor.
+  /// entry-count legacy model, bit-exact).
   std::size_t byte_budget = 0;
   /// When non-empty, also emit machine-readable results here (--json=...).
   std::string json_path;
@@ -110,55 +123,41 @@ struct BenchConfig {
       c.batches = 3;
       c.ops_per_batch = 6;
     }
-    c.graphs = static_cast<std::uint32_t>(flags.GetInt("graphs", c.graphs));
-    c.queries = static_cast<std::uint32_t>(flags.GetInt("queries", c.queries));
+    c.graphs = CountFlag(flags, "graphs", c.graphs);
+    c.queries = CountFlag(flags, "queries", c.queries);
     // Keep the paper's change cadence (one batch per ~50 scaled queries)
     // when only --queries is overridden.
     if (flags.Has("queries") && !flags.Has("batches") &&
         !flags.GetBool("paper", false)) {
       c.batches = std::max(1u, c.queries / 50);
     }
-    c.labels = static_cast<std::uint32_t>(flags.GetInt("labels", c.labels));
+    c.labels = CountFlag(flags, "labels", c.labels);
     c.mean_vertices = flags.GetDouble("mean-vertices", c.mean_vertices);
-    c.max_vertices =
-        static_cast<std::uint32_t>(flags.GetInt("max-vertices", c.max_vertices));
-    c.cache_capacity =
-        static_cast<std::size_t>(flags.GetInt("cache", c.cache_capacity));
-    c.window_capacity =
-        static_cast<std::size_t>(flags.GetInt("window", c.window_capacity));
-    c.warmup = static_cast<std::size_t>(flags.GetInt("warmup", c.warmup));
-    c.batches = static_cast<std::uint32_t>(flags.GetInt("batches", c.batches));
-    c.ops_per_batch = static_cast<std::uint32_t>(
-        flags.GetInt("ops-per-batch", c.ops_per_batch));
+    c.max_vertices = CountFlag(flags, "max-vertices", c.max_vertices);
+    c.cache_capacity = CountFlag(flags, "cache", c.cache_capacity);
+    c.window_capacity = CountFlag(flags, "window", c.window_capacity);
+    c.warmup = CountFlag(flags, "warmup", c.warmup);
+    c.batches = CountFlag(flags, "batches", c.batches);
+    c.ops_per_batch = CountFlag(flags, "ops-per-batch", c.ops_per_batch);
     c.zipf_alpha = flags.GetDouble("alpha", c.zipf_alpha);
-    c.max_sub_hits =
-        static_cast<std::size_t>(flags.GetInt("max-sub-hits", c.max_sub_hits));
-    c.max_super_hits = static_cast<std::size_t>(
-        flags.GetInt("max-super-hits", c.max_super_hits));
-    c.seed = static_cast<std::uint64_t>(flags.GetInt("seed", c.seed));
-    c.verify_threads = static_cast<std::size_t>(
-        flags.GetInt("verify-threads", c.verify_threads));
-    c.client_threads =
-        static_cast<std::size_t>(flags.GetInt("threads", c.client_threads));
-    c.shards = static_cast<std::size_t>(flags.GetInt("shards", c.shards));
+    c.max_sub_hits = CountFlag(flags, "max-sub-hits", c.max_sub_hits);
+    c.max_super_hits = CountFlag(flags, "max-super-hits", c.max_super_hits);
+    c.seed = CountFlag(flags, "seed", c.seed);
+    c.verify_threads = CountFlag(flags, "verify-threads", c.verify_threads);
+    c.client_threads = CountFlag(flags, "threads", c.client_threads);
+    c.shards = CountFlag(flags, "shards", c.shards);
     c.maintenance_thread =
         flags.GetBool("maintenance-thread", c.maintenance_thread);
-    c.delta_revalidation =
-        flags.GetBool("delta-revalidation", c.delta_revalidation);
     c.fragments = flags.GetBool("fragments", c.fragments);
     c.simd = flags.GetString("simd", c.simd);
     c.checkpoint_dir = flags.GetString("checkpoint-dir", c.checkpoint_dir);
-    c.checkpoint_interval_us = static_cast<std::size_t>(
-        flags.GetInt("checkpoint-interval", c.checkpoint_interval_us));
+    c.checkpoint_interval_us =
+        CountFlag(flags, "checkpoint-interval", c.checkpoint_interval_us);
     c.warm_restart = flags.GetBool("warm-restart", c.warm_restart);
-    {
-      // --byte-budget accepts "off" (the entry-count oracle) or a byte
-      // count; anything else must parse as a non-negative integer.
-      const std::string budget = flags.GetString("byte-budget", "");
-      if (!budget.empty() && budget != "off") {
-        c.byte_budget = static_cast<std::size_t>(
-            flags.GetInt("byte-budget", c.byte_budget));
-      }
+    // --byte-budget accepts "off" (the entry-count oracle) or a byte
+    // count; anything else must parse as a non-negative integer.
+    if (flags.GetString("byte-budget", "") != "off") {
+      c.byte_budget = CountFlag(flags, "byte-budget", c.byte_budget);
     }
     c.json_path = flags.GetString("json", c.json_path);
     return c;
@@ -231,7 +230,6 @@ inline RunnerConfig MakeRunnerConfig(RunMode mode, MatcherKind method,
   rc.maintenance_thread = cfg.maintenance_thread;
   rc.max_sub_hits = cfg.max_sub_hits;
   rc.max_super_hits = cfg.max_super_hits;
-  rc.delta_revalidation = cfg.delta_revalidation;
   rc.fragments = cfg.fragments;
   rc.checkpoint_dir = cfg.checkpoint_dir;
   rc.checkpoint_interval_us = cfg.checkpoint_interval_us;
@@ -243,9 +241,8 @@ inline RunnerConfig MakeRunnerConfig(RunMode mode, MatcherKind method,
 
 /// Engine options for benches that construct GraphCachePlus directly
 /// (bypassing the workload runner). One place maps BenchConfig knobs —
-/// including --delta-revalidation and --fragments — onto
-/// GraphCachePlusOptions, so a new flag lands once instead of once per
-/// bench. Callers override the handful of fields their experiment pins
+/// including --fragments — onto GraphCachePlusOptions, so a new flag
+/// lands once instead of once per bench. Callers override the handful of fields their experiment pins
 /// (model, checkpoint knobs, ...) after the call.
 inline GraphCachePlusOptions MakeEngineOptions(CacheModel model,
                                                const BenchConfig& cfg) {
@@ -258,8 +255,7 @@ inline GraphCachePlusOptions MakeEngineOptions(CacheModel model,
   opts.maintenance_thread = cfg.maintenance_thread;
   opts.max_sub_hits = cfg.max_sub_hits;
   opts.max_super_hits = cfg.max_super_hits;
-  opts.use_fragment_cache = cfg.fragments;
-  opts.delta_revalidation = cfg.delta_revalidation;
+  if (!cfg.fragments) opts.fragment_capacity = 0;
   opts.checkpoint_dir = cfg.checkpoint_dir;
   opts.checkpoint_interval_us = cfg.checkpoint_interval_us;
   opts.byte_budget = cfg.byte_budget;

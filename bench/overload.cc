@@ -1,12 +1,12 @@
-// BENCH_10: byte-budgeted capacity and overload degradation.
+// BENCH_10: byte-budgeted capacity under a budget that binds.
 //
 // Three rows per system answer two questions the entry-count model
 // cannot: (1) at EQUAL resident bytes, does utility-per-byte replacement
 // (paper benefit R divided by the entry's approximate footprint) serve
 // more hits, and save more sub-iso tests, than counting entries? (2) when
-// the budget is far below the working set, does the engine degrade
-// gracefully — shedding admission offers under pressure instead of
-// thrashing — while answers stay exact?
+// the budget is far below the working set, does each drain's byte pass
+// keep evicting the store back under it, and what does a query cost
+// then?
 //
 //   count        --byte-budget=off, capacity K: the legacy entry-count
 //                engine. The high-water mark B of its resident footprint
@@ -18,9 +18,9 @@
 //                needed — neither row's footprint ever exceeds B.
 //   constrained  --byte-budget=B/16 under the deployment shape (dedicated
 //                maintenance thread, 4 closed-loop clients): admissions
-//                overshoot the budget between asynchronous drains, the
-//                pressure monitor leaves NORMAL, and offers are shed
-//                (counted, never queued).
+//                overshoot the budget between asynchronous drains, and
+//                every drain's utility-per-byte pass evicts back under
+//                it.
 //
 // B is a high-water mark rather than the count row's end-of-run
 // footprint because a byte budget is a ceiling, and the count engine's
@@ -50,12 +50,11 @@
 //     alone undercount an exact hit, which saves every test);
 //   - an equal-bytes row's byte pass never fired, or its footprint ever
 //     exceeded the measured budget;
-//   - the count row reports any byte evictions or shed offers (budget
-//     off must be the bit-exact legacy engine);
-//   - the equal-bytes row shed offers (a never-overshooting budget must
-//     not degrade service);
-//   - the constrained row never shed an offer or never left NORMAL.
+//   - the count row reports any byte evictions (budget off must be the
+//     bit-exact legacy engine);
+//   - a constrained row's byte pass never fired.
 
+#include <algorithm>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -98,11 +97,7 @@ void EmitRow(JsonWriter* json, const char* system, const char* row,
       "\"hits\": %llu, \"hits_per_query\": %.4f, "
       "\"tests_per_query\": %.3f, \"avg_query_ms\": %.5f, "
       "\"byte_budget_evictions\": %llu, \"evictions\": %llu, "
-      "\"admission_offers_shed\": %llu, "
-      "\"backpressure_inline_drains\": %llu, "
-      "\"pressure_elevated_transitions\": %llu, "
-      "\"pressure_critical_transitions\": %llu, "
-      "\"pressure_bypassed_queries\": %llu",
+      "\"backpressure_inline_drains\": %llu",
       system, row, static_cast<unsigned long long>(budget),
       static_cast<unsigned long long>(ResidentBytes(r)),
       static_cast<unsigned long long>(r.peak_resident_bytes),
@@ -113,29 +108,21 @@ void EmitRow(JsonWriter* json, const char* system, const char* row,
       r.avg_si_tests(), r.avg_query_ms(),
       static_cast<unsigned long long>(r.cache_stats.byte_budget_evictions),
       static_cast<unsigned long long>(r.cache_stats.total_evictions),
-      static_cast<unsigned long long>(r.cache_stats.admission_offers_shed),
       static_cast<unsigned long long>(
-          r.cache_stats.backpressure_inline_drains),
-      static_cast<unsigned long long>(
-          r.cache_stats.pressure_elevated_transitions),
-      static_cast<unsigned long long>(
-          r.cache_stats.pressure_critical_transitions),
-      static_cast<unsigned long long>(
-          r.cache_stats.pressure_bypassed_queries));
+          r.cache_stats.backpressure_inline_drains));
   json->Row(buf);
 }
 
 void PrintRow(const char* sys, const char* row, std::uint64_t budget,
               const RunReport& r) {
-  std::printf("%-6s %-12s %12llu %12llu %12llu %8llu %12.1f %12llu %10llu\n",
+  std::printf("%-6s %-12s %12llu %12llu %12llu %8llu %12.1f %12llu %11.5f\n",
               sys, row, static_cast<unsigned long long>(budget),
               static_cast<unsigned long long>(ResidentBytes(r)),
               static_cast<unsigned long long>(r.peak_resident_bytes),
               static_cast<unsigned long long>(Hits(r)), r.avg_si_tests(),
               static_cast<unsigned long long>(
                   r.cache_stats.byte_budget_evictions),
-              static_cast<unsigned long long>(
-                  r.cache_stats.admission_offers_shed));
+              r.avg_query_ms());
   std::fflush(stdout);
 }
 
@@ -157,7 +144,7 @@ int main(int argc, char** argv) {
     // exactly the budgeted footprint.
     cfg.fragments = false;
   }
-  PrintConfig(cfg, "BENCH 10: byte budget vs entry count, overload shedding");
+  PrintConfig(cfg, "BENCH 10: byte budget vs entry count, constrained budget");
   ApplyProcessToggles(cfg);
 
   const std::vector<Graph> corpus = BuildCorpus(cfg);
@@ -176,9 +163,9 @@ int main(int argc, char** argv) {
   RunnerConfig base_rc = MakeRunnerConfig(RunMode::kMethodM, method, cfg);
   base_rc.record_answers = true;
   const RunReport base = RunWorkload(corpus, w, plan, base_rc);
-  std::printf("\n%-6s %-12s %12s %12s %12s %8s %12s %12s %10s\n", "sys",
+  std::printf("\n%-6s %-12s %12s %12s %12s %8s %12s %12s %11s\n", "sys",
               "row", "budget", "resident B", "peak B", "hits", "tests/q",
-              "byte evict", "shed");
+              "byte evict", "avg q ms");
   PrintRow("M", "baseline", 0, base);
   EmitRow(json.get(), "M", "baseline", 0, base);
 
@@ -205,27 +192,15 @@ int main(int argc, char** argv) {
     EmitRow(json.get(), sys_name.c_str(), "equal-bytes", budget, equal);
 
     // --- constrained: budget far below the working set -----------------
-    // Shedding needs the gauge to stay over the tier threshold ACROSS
-    // queries, and a serial closed loop can't do that: its post-query
-    // drain runs the byte pass before the next query ever samples the
-    // tier. So this row runs the deployment shape — a dedicated
-    // maintenance drain thread with closed-loop clients racing it — and
-    // its answers depend on that interleaving, so the Method M gate
-    // covers the serial rows only.
+    // The deployment shape — a dedicated maintenance drain thread with
+    // closed-loop clients racing it — so admissions overshoot the budget
+    // between asynchronous drains. Its answers depend on that
+    // interleaving, so the Method M gate covers the serial rows only.
     RunnerConfig tight_rc = MakeRunnerConfig(sys, method, cfg);
     tight_rc.byte_budget = std::max<std::uint64_t>(1, budget / 16);
     tight_rc.maintenance_thread = true;
     tight_rc.client_threads = std::max<std::size_t>(4, cfg.client_threads);
-    // A client sheds only when its query STARTS inside an overshoot
-    // window, and the drain's byte pass closes those windows fast — so a
-    // clean-scheduled run can finish shed-free. Retry a few times; the
-    // gate below demands at least one attempt actually collided.
-    RunReport tight = RunWorkload(corpus, w, plan, tight_rc);
-    for (int attempt = 1;
-         attempt < 6 && tight.cache_stats.admission_offers_shed == 0;
-         ++attempt) {
-      tight = RunWorkload(corpus, w, plan, tight_rc);
-    }
+    const RunReport tight = RunWorkload(corpus, w, plan, tight_rc);
     PrintRow(sys_name.c_str(), "constrained", tight_rc.byte_budget, tight);
     EmitRow(json.get(), sys_name.c_str(), "constrained",
             tight_rc.byte_budget, tight);
@@ -242,12 +217,10 @@ int main(int argc, char** argv) {
         ++failures;
       }
     }
-    if (count.cache_stats.byte_budget_evictions != 0 ||
-        count.cache_stats.admission_offers_shed != 0 ||
-        count.cache_stats.pressure_elevated_transitions != 0) {
+    if (count.cache_stats.byte_budget_evictions != 0) {
       std::fprintf(stderr,
-                   "FAIL: %s count row (budget off) reported byte/pressure "
-                   "activity\n",
+                   "FAIL: %s count row (budget off) reported byte "
+                   "evictions\n",
                    sys_name.c_str());
       ++failures;
     }
@@ -279,23 +252,12 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(budget));
       ++failures;
     }
-    if (equal.cache_stats.admission_offers_shed != 0) {
+    if (tight.cache_stats.byte_budget_evictions == 0) {
       std::fprintf(stderr,
-                   "FAIL: %s equal-bytes shed offers — an unconstrained "
-                   "budget must not degrade service\n",
-                   sys_name.c_str());
-      ++failures;
-    }
-    if (tight.cache_stats.admission_offers_shed == 0 ||
-        tight.cache_stats.pressure_elevated_transitions == 0) {
-      std::fprintf(stderr,
-                   "FAIL: %s constrained row never shed (%llu) or never "
-                   "left NORMAL (%llu transitions)\n",
+                   "FAIL: %s constrained byte pass never fired under a "
+                   "budget of %llu bytes\n",
                    sys_name.c_str(),
-                   static_cast<unsigned long long>(
-                       tight.cache_stats.admission_offers_shed),
-                   static_cast<unsigned long long>(
-                       tight.cache_stats.pressure_elevated_transitions));
+                   static_cast<unsigned long long>(tight_rc.byte_budget));
       ++failures;
     }
   }
@@ -314,8 +276,7 @@ int main(int argc, char** argv) {
       "# per-byte ranking stops large low-benefit entries from crowding\n"
       "# out several small ones (EVI shows it; CON's long-lived\n"
       "# containment hubs favor the count rank, see header). constrained\n"
-      "# sheds offers (counted, never queued) while the monitor rides\n"
-      "# ELEVATED, and recovery is automatic: shed counters stay zero on\n"
-      "# both unconstrained rows.\n");
+      "# keeps evicting per byte at every drain; its avg q ms is the cost\n"
+      "# of serving under a budget far below the working set.\n");
   return failures == 0 ? 0 : 1;
 }

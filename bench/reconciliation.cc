@@ -3,9 +3,8 @@
 // Every change batch is routed through the change-relevance index: only
 // entries whose CGvalid footprint intersects the batch run Algorithm 2's
 // counter loop, everything else keeps its bits untouched by construction
-// (touched + skipped == resident per reconcile). A second CON row adds
-// delta re-validation (per-pair keep/re-verify instead of fade-only
-// clears), and an uncached Method M row supplies the reference answers.
+// (touched + skipped == resident per reconcile). An uncached Method M
+// row supplies the reference answers.
 //
 // The bench drives the engine directly (not through RunWorkload) so the
 // churn's *locality* is controlled: "localized" batches aim their edge
@@ -36,17 +35,14 @@ using namespace gcp::bench;
 namespace {
 
 struct PathToggles {
-  const char* path;  // "M" / "cached" / "cached+delta"
+  const char* path;  // "M" / "cached"
   bool cached;       // false = uncached Method M
-  bool delta;
 };
 
 struct RowResult {
   std::uint64_t answers_digest = 0;
   std::uint64_t touched = 0;
   std::uint64_t skipped = 0;
-  std::uint64_t delta_keeps = 0;
-  std::uint64_t delta_fallbacks = 0;
   double reconcile_ms = 0.0;  // aggregate t_validate_ns over the run
   double avg_query_ms = 0.0;
   std::size_t resident = 0;
@@ -109,7 +105,6 @@ RowResult RunRow(const std::vector<Graph>& corpus, const Workload& w,
   ds.Bootstrap(corpus);
   GraphCachePlusOptions opts = MakeEngineOptions(model, cfg);
   opts.use_ftv_index = true;
-  opts.delta_revalidation = path.delta;
   if (!path.cached) {
     opts.enable_admission = false;
     opts.enable_exact_shortcut = false;
@@ -147,8 +142,6 @@ RowResult RunRow(const std::vector<Graph>& corpus, const Workload& w,
   const StatisticsManager stats = gc.CacheStatsSnapshot();
   r.touched = stats.reconcile_entries_touched;
   r.skipped = stats.reconcile_entries_skipped;
-  r.delta_keeps = stats.delta_revalidations;
-  r.delta_fallbacks = stats.delta_fallback_full_checks;
   r.reconcile_ms =
       static_cast<double>(gc.AggregateSnapshot().t_validate_ns) / 1e6;
   r.avg_query_ms =
@@ -175,14 +168,12 @@ int main(int argc, char** argv) {
     json = std::make_unique<JsonWriter>(cfg.json_path, "reconciliation", cfg);
   }
 
-  const PathToggles kMethodM{"M", false, false};
-  const PathToggles kCached{"cached", true, false};
-  const PathToggles kCachedDelta{"cached+delta", true, true};
+  const PathToggles kMethodM{"M", false};
+  const PathToggles kCached{"cached", true};
 
   int failures = 0;
-  std::printf("\n%-10s %-12s %-4s %10s %10s %8s %8s %13s %11s\n", "churn",
-              "path", "sys", "touched", "skipped", "dkeep", "dfull",
-              "reconcile ms", "avg q ms");
+  std::printf("\n%-10s %-12s %-4s %10s %10s %13s %11s\n", "churn", "path",
+              "sys", "touched", "skipped", "reconcile ms", "avg q ms");
   for (const bool localized : {true, false}) {
     const char* churn = localized ? "localized" : "uniform";
     for (const CacheModel model : {CacheModel::kCon, CacheModel::kEvi}) {
@@ -192,19 +183,12 @@ int main(int argc, char** argv) {
                         RunRow(corpus, w, cfg, model, kMethodM, localized));
       rows.emplace_back(kCached,
                         RunRow(corpus, w, cfg, model, kCached, localized));
-      if (model == CacheModel::kCon) {
-        rows.emplace_back(kCachedDelta, RunRow(corpus, w, cfg, model,
-                                               kCachedDelta, localized));
-      }
       const RowResult& reference = rows.front().second;
       for (const auto& [path, r] : rows) {
-        std::printf("%-10s %-12s %-4s %10llu %10llu %8llu %8llu %13.3f "
-                    "%11.5f\n",
-                    churn, path.path, sys,
+        std::printf("%-10s %-12s %-4s %10llu %10llu %13.3f %11.5f\n", churn,
+                    path.path, sys,
                     static_cast<unsigned long long>(r.touched),
                     static_cast<unsigned long long>(r.skipped),
-                    static_cast<unsigned long long>(r.delta_keeps),
-                    static_cast<unsigned long long>(r.delta_fallbacks),
                     r.reconcile_ms, r.avg_query_ms);
         std::fflush(stdout);
         if (r.answers_digest != reference.answers_digest) {
@@ -221,15 +205,11 @@ int main(int argc, char** argv) {
               "\"churn\": \"%s\", \"path\": \"%s\", \"system\": \"%s\", "
               "\"reconcile_entries_touched\": %llu, "
               "\"reconcile_entries_skipped\": %llu, "
-              "\"delta_revalidations\": %llu, "
-              "\"delta_fallback_full_checks\": %llu, "
               "\"reconcile_ms\": %.3f, \"avg_query_ms\": %.5f, "
               "\"resident\": %zu, \"answers_digest\": %llu",
               churn, path.path, sys,
               static_cast<unsigned long long>(r.touched),
               static_cast<unsigned long long>(r.skipped),
-              static_cast<unsigned long long>(r.delta_keeps),
-              static_cast<unsigned long long>(r.delta_fallbacks),
               r.reconcile_ms, r.avg_query_ms, r.resident,
               static_cast<unsigned long long>(r.answers_digest));
           json->Row(buf);
@@ -251,13 +231,11 @@ int main(int argc, char** argv) {
 
   std::printf(
       "\n# Expected shape: identical answers on every row of a (churn, sys)\n"
-      "# group — the index and the delta hook never change results. On\n"
-      "# localized churn, CON touches a small fraction of the resident\n"
-      "# entries per reconcile (skipped >> touched); on uniform churn the\n"
-      "# footprints intersect almost every batch, so few entries are\n"
-      "# skipped — reported, not gated. EVI purges are indiscriminate by\n"
-      "# definition: skipped stays 0. cached+delta trades reconcile-time\n"
-      "# containment checks (dfull) + pair-screen keeps (dkeep) for warmer\n"
-      "# caches. The M row has no cache: touched = skipped = 0.\n");
+      "# group — the index never changes results. On localized churn,\n"
+      "# CON touches a small fraction of the resident entries per\n"
+      "# reconcile (skipped >> touched); on uniform churn the footprints\n"
+      "# intersect almost every batch, so few entries are skipped —\n"
+      "# reported, not gated. EVI purges are indiscriminate by definition:\n"
+      "# skipped stays 0. The M row has no cache: touched = skipped = 0.\n");
   return failures == 0 ? 0 : 1;
 }

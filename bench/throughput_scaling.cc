@@ -56,10 +56,10 @@ std::vector<std::size_t> ParseShardSweep(const std::string& csv) {
 int main(int argc, char** argv) {
   const Flags flags = Flags::Parse(argc, argv);
   BenchConfig cfg = BenchConfig::FromFlags(flags);
-  const std::size_t max_threads = cfg.client_threads > 1
-                                      ? cfg.client_threads
-                                      : static_cast<std::size_t>(
-                                            flags.GetInt("max-threads", 8));
+  const std::size_t max_threads =
+      cfg.client_threads > 1
+          ? cfg.client_threads
+          : CountFlag(flags, "max-threads", std::size_t{8});
   const std::string wname = flags.GetString("workload", "ZZ");
   const std::vector<std::size_t> shard_sweep =
       ParseShardSweep(flags.GetString("shard-sweep", "1,4"));

@@ -23,8 +23,7 @@ std::uint64_t FragmentByteSlice(const CacheManagerOptions& o) {
 
 CacheManager::CacheManager(CacheManagerOptions options)
     : options_(options),
-      fragments_(options.fragment_capacity, FragmentByteSlice(options),
-                 options.pressure),
+      fragments_(options.fragment_capacity, FragmentByteSlice(options)),
       rng_(options.rng_seed) {
   entry_byte_budget_ =
       options_.byte_budget == 0
@@ -198,9 +197,6 @@ void CacheManager::EnforceByteBudget() {
 
 void CacheManager::Clear() {
   if (!cache_.empty() || !window_.empty()) ++stats_.total_cache_clears;
-  if (options_.pressure != nullptr && entry_bytes_ != 0) {
-    options_.pressure->AddBytes(-static_cast<std::int64_t>(entry_bytes_));
-  }
   entry_bytes_ = 0;
   cache_.clear();
   window_.clear();
@@ -219,30 +215,26 @@ void CacheManager::PurgeForReconcile() {
   Clear();
 }
 
-void CacheManager::ValidateAll(
-    const ChangeCounters& counters, std::size_t id_horizon,
-    const CacheValidator::DeltaRevalidateFn* delta) {
+void CacheManager::ValidateAll(const ChangeCounters& counters,
+                               std::size_t id_horizon) {
   stats_.reconcile_entries_touched += resident();
   // Brute-force validation touches everything; balance holds trivially.
   restore_balance_check_pending_ = false;
   for (auto& e : cache_) {
-    CacheValidator::RefreshEntry(*e, counters, id_horizon, delta, &stats_);
+    CacheValidator::RefreshEntry(*e, counters, id_horizon);
     relevance_.Refresh(e.get());
     AccountRefresh(*e);
   }
   for (auto& e : window_) {
-    CacheValidator::RefreshEntry(*e, counters, id_horizon, delta, &stats_);
+    CacheValidator::RefreshEntry(*e, counters, id_horizon);
     relevance_.Refresh(e.get());
     AccountRefresh(*e);
   }
-  // Fragments reconcile with plain Algorithm 2 — the delta hook re-proves
-  // whole-query containments and is never needed for soundness here.
   fragments_.ValidateAll(counters, id_horizon, stats_);
 }
 
-void CacheManager::ValidateRelevant(
-    const ChangeCounters& counters, std::size_t id_horizon,
-    const CacheValidator::DeltaRevalidateFn* delta) {
+void CacheManager::ValidateRelevant(const ChangeCounters& counters,
+                                    std::size_t id_horizon) {
   // Indicator extension (Algorithm 2 lines 4-6) applies to every resident
   // entry — new ids default to invalid and no existing bit can flip, so
   // extension alone never makes an entry "touched".
@@ -263,9 +255,8 @@ void CacheManager::ValidateRelevant(
   for (const CachedQuery* c : affected) {
     CachedQuery* e = FindMutable(c->id);
     if (e == nullptr) continue;  // defensive; affected ids are resident
-    CacheValidator::ApplyCounters(*e, counters, delta, &stats_);
-    // Re-tightens after clears and restores the superset invariant after
-    // a delta fallback re-set bits.
+    CacheValidator::ApplyCounters(*e, counters);
+    // Re-tightens the footprint after Algorithm 2 cleared bits.
     relevance_.Refresh(e);
     ++touched;
   }
@@ -474,26 +465,16 @@ ApproxByteFootprint CacheManager::ApproxBytes() const {
 void CacheManager::AccountAdmit(CachedQuery& e) {
   e.approx_bytes = ApproxEntryBytes(e);
   entry_bytes_ += e.approx_bytes;
-  if (options_.pressure != nullptr) {
-    options_.pressure->AddBytes(static_cast<std::int64_t>(e.approx_bytes));
-  }
 }
 
 void CacheManager::AccountEvict(const CachedQuery& e) {
   entry_bytes_ -= e.approx_bytes;
-  if (options_.pressure != nullptr) {
-    options_.pressure->AddBytes(-static_cast<std::int64_t>(e.approx_bytes));
-  }
 }
 
 void CacheManager::AccountRefresh(CachedQuery& e) {
   const std::uint64_t fresh = ApproxEntryBytes(e);
   if (fresh == e.approx_bytes) return;
   entry_bytes_ += fresh - e.approx_bytes;  // unsigned wrap-around is exact
-  if (options_.pressure != nullptr) {
-    options_.pressure->AddBytes(static_cast<std::int64_t>(fresh) -
-                                static_cast<std::int64_t>(e.approx_bytes));
-  }
   e.approx_bytes = fresh;
 }
 

@@ -31,7 +31,6 @@
 #include "cache/relevance_index.hpp"
 #include "cache/replacement.hpp"
 #include "cache/statistics.hpp"
-#include "common/pressure.hpp"
 #include "common/status.hpp"
 #include "dataset/log_analyzer.hpp"
 
@@ -53,9 +52,6 @@ struct CacheManagerOptions {
   /// still apply — the budget only ever evicts *more*, so a budget that
   /// never binds replays the entry-count engine bit-exactly.
   std::size_t byte_budget = 0;
-  /// Optional pressure monitor mirroring this store's byte gauge (shared
-  /// across shards; not owned). Null = no pressure derivation.
-  PressureMonitor* pressure = nullptr;
 };
 
 /// How a cache entry contributed to a query — determines which per-entry
@@ -136,10 +132,8 @@ class CacheManager {
 
   /// CON validation: applies Algorithm 2 to every resident entry — the
   /// brute-force reference ValidateRelevant is tested against. Every
-  /// resident entry counts as touched; skipped stays 0. `delta` optionally
-  /// enables delta re-validation per invalidated (entry, graph) pair.
-  void ValidateAll(const ChangeCounters& counters, std::size_t id_horizon,
-                   const CacheValidator::DeltaRevalidateFn* delta = nullptr);
+  /// resident entry counts as touched; skipped stays 0.
+  void ValidateAll(const ChangeCounters& counters, std::size_t id_horizon);
 
   /// CON validation through the change-relevance index: extends every
   /// resident indicator to `id_horizon`, then runs Algorithm 2's counter
@@ -147,9 +141,8 @@ class CacheManager {
   /// bit-exact vs ValidateAll by construction (the screen only skips
   /// entries no counter can mutate). Touched/skipped accounting per
   /// call: touched + skipped == resident.
-  void ValidateRelevant(const ChangeCounters& counters, std::size_t id_horizon,
-                        const CacheValidator::DeltaRevalidateFn* delta =
-                            nullptr);
+  void ValidateRelevant(const ChangeCounters& counters,
+                        std::size_t id_horizon);
 
   /// Recomputes `id`'s relevance footprint from its current bitsets.
   /// Must be called after any path that SETS validity bits outside the
@@ -285,7 +278,7 @@ class CacheManager {
 
  private:
   /// Sets `e.approx_bytes` from ApproxEntryBytes and adds it to the
-  /// running gauge (and the pressure monitor, when attached).
+  /// running gauge.
   void AccountAdmit(CachedQuery& e);
   /// Subtracts `e.approx_bytes` from the gauge (eviction / purge).
   void AccountEvict(const CachedQuery& e);

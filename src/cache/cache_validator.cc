@@ -16,9 +16,7 @@ void CacheValidator::ExtendEntry(CachedQuery& entry, std::size_t id_horizon) {
 }
 
 void CacheValidator::ApplyCounters(CachedQuery& entry,
-                                   const ChangeCounters& counters,
-                                   const DeltaRevalidateFn* delta,
-                                   StatisticsManager* stats) {
+                                   const ChangeCounters& counters) {
   // Lines 7-19: apply the counters to the touched graphs only.
   //
   // The polarity of the UA/UR optimisations depends on the entry's query
@@ -44,10 +42,6 @@ void CacheValidator::ApplyCounters(CachedQuery& entry,
     if (counters.IsUrExclusive(graph_id) && !ua_safe_polarity) {
       continue;  // line 14-15 (resp. its supergraph inverse)
     }
-    if (delta != nullptr && stats != nullptr &&
-        (*delta)(entry, graph_id, *stats)) {
-      continue;  // delta re-validation kept or rewrote the bit
-    }
     entry.valid.Set(graph_id, false);  // line 17
   }
 }
@@ -65,11 +59,9 @@ void CacheValidator::MergeKnowledge(CachedQuery& resident,
 
 void CacheValidator::RefreshEntry(CachedQuery& entry,
                                   const ChangeCounters& counters,
-                                  std::size_t id_horizon,
-                                  const DeltaRevalidateFn* delta,
-                                  StatisticsManager* stats) {
+                                  std::size_t id_horizon) {
   ExtendEntry(entry, id_horizon);
-  ApplyCounters(entry, counters, delta, stats);
+  ApplyCounters(entry, counters);
 }
 
 }  // namespace gcp

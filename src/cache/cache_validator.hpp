@@ -21,10 +21,8 @@
 #define GCP_CACHE_CACHE_VALIDATOR_HPP_
 
 #include <cstddef>
-#include <functional>
 
 #include "cache/cache_entry.hpp"
-#include "cache/statistics.hpp"
 #include "dataset/log_analyzer.hpp"
 
 namespace gcp {
@@ -32,32 +30,19 @@ namespace gcp {
 /// \brief Applies Algorithm 2 to cached queries.
 class CacheValidator {
  public:
-  /// Delta re-validation hook, consulted for every (entry, graph) pair
-  /// Algorithm 2 is about to invalidate. Returns true when it handled
-  /// the pair — kept the bit via a change-delta proof, or rewrote
-  /// answer/valid from a fresh containment check; false falls through to
-  /// the plain clear (line 17). `stats` is the owning store's counter
-  /// sink for delta_revalidations / delta_fallback_full_checks.
-  using DeltaRevalidateFn =
-      std::function<bool(CachedQuery& entry, GraphId graph_id,
-                         StatisticsManager& stats)>;
-
   /// Refreshes one entry's CGvalid given the counters and the current id
   /// horizon (m + 1 of Algorithm 2). Also aligns the answer snapshot's
   /// size so downstream bitset algebra operates on equal widths.
   static void RefreshEntry(CachedQuery& entry, const ChangeCounters& counters,
-                           std::size_t id_horizon,
-                           const DeltaRevalidateFn* delta = nullptr,
-                           StatisticsManager* stats = nullptr);
+                           std::size_t id_horizon);
 
   /// Lines 4-6 alone: extends the indicator/answer to `id_horizon` with
   /// false bits. Never flips an existing bit.
   static void ExtendEntry(CachedQuery& entry, std::size_t id_horizon);
 
   /// Lines 7-19 alone: applies the counters to the touched graphs.
-  static void ApplyCounters(CachedQuery& entry, const ChangeCounters& counters,
-                            const DeltaRevalidateFn* delta = nullptr,
-                            StatisticsManager* stats = nullptr);
+  static void ApplyCounters(CachedQuery& entry,
+                            const ChangeCounters& counters);
 
   /// Folds a freshly computed twin's knowledge into the resident entry:
   /// both are extended to the wider horizon, the offer's answer

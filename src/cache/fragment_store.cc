@@ -75,9 +75,6 @@ void FragmentStore::Credit(std::uint64_t digest, std::uint64_t pruned,
 }
 
 void FragmentStore::Clear() {
-  if (pressure_ != nullptr && entry_bytes_ != 0) {
-    pressure_->AddBytes(-static_cast<std::int64_t>(entry_bytes_));
-  }
   entry_bytes_ = 0;
   by_digest_.clear();
   relevance_.Clear();
@@ -213,26 +210,16 @@ std::uint64_t FragmentStore::ApproxBytes() const {
 void FragmentStore::AccountAdmit(CachedQuery& e) {
   e.approx_bytes = ApproxEntryBytes(e);
   entry_bytes_ += e.approx_bytes;
-  if (pressure_ != nullptr) {
-    pressure_->AddBytes(static_cast<std::int64_t>(e.approx_bytes));
-  }
 }
 
 void FragmentStore::AccountEvict(const CachedQuery& e) {
   entry_bytes_ -= e.approx_bytes;
-  if (pressure_ != nullptr) {
-    pressure_->AddBytes(-static_cast<std::int64_t>(e.approx_bytes));
-  }
 }
 
 void FragmentStore::AccountRefresh(CachedQuery& e) {
   const std::uint64_t fresh = ApproxEntryBytes(e);
   if (fresh == e.approx_bytes) return;
   entry_bytes_ += fresh - e.approx_bytes;  // unsigned wrap-around is exact
-  if (pressure_ != nullptr) {
-    pressure_->AddBytes(static_cast<std::int64_t>(fresh) -
-                        static_cast<std::int64_t>(e.approx_bytes));
-  }
   e.approx_bytes = fresh;
 }
 

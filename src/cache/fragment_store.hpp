@@ -39,7 +39,6 @@
 #include "cache/cache_entry.hpp"
 #include "cache/relevance_index.hpp"
 #include "cache/statistics.hpp"
-#include "common/pressure.hpp"
 #include "common/status.hpp"
 #include "dataset/log_analyzer.hpp"
 
@@ -49,11 +48,9 @@ namespace gcp {
 class FragmentStore {
  public:
   /// `byte_budget` is this store's slice of the engine byte budget (0 =
-  /// off); `pressure` optionally mirrors the byte gauge into the shared
-  /// pressure monitor (not owned).
-  explicit FragmentStore(std::size_t capacity, std::uint64_t byte_budget = 0,
-                         PressureMonitor* pressure = nullptr)
-      : capacity_(capacity), byte_budget_(byte_budget), pressure_(pressure) {}
+  /// off).
+  explicit FragmentStore(std::size_t capacity, std::uint64_t byte_budget = 0)
+      : capacity_(capacity), byte_budget_(byte_budget) {}
 
   /// Resident entry for `digest` whose star has the canonical label
   /// sequence `labels`; nullptr on miss or digest collision. Does not
@@ -139,7 +136,6 @@ class FragmentStore {
 
   std::size_t capacity_;
   std::uint64_t byte_budget_ = 0;
-  PressureMonitor* pressure_ = nullptr;
   /// Running graph+bitset bytes of resident fragments.
   std::uint64_t entry_bytes_ = 0;
   /// digest → entry; ordered so iteration (export, eviction scans) is

@@ -39,15 +39,6 @@ void ForEachBlock(const std::vector<std::uint64_t>& mask, Fn&& fn) {
 
 }  // namespace
 
-std::uint64_t EdgeLabelPairMaskOf(const GraphFeatures& features) {
-  std::uint64_t mask = 0;
-  for (const auto& [pair, count] : features.edge_label_counts) {
-    (void)count;
-    mask |= EdgeLabelPairBit(pair.first, pair.second);
-  }
-  return mask;
-}
-
 bool RelevanceIndex::BatchFootprint::empty() const {
   for (const std::uint64_t w : mixed) {
     if (w != 0) return false;

@@ -27,8 +27,8 @@
 // not intersect the batch keeps every CGvalid bit untouched by
 // construction — skipping it is bit-exact, not approximate. Footprints
 // are maintained as supersets (clears never require a footprint update;
-// anything that *sets* valid bits — retrospective refresh, delta
-// re-validation, restore — must call Refresh). Block granularity and
+// anything that *sets* valid bits — retrospective refresh, a drain's
+// twin refresh, restore — must call Refresh). Block granularity and
 // staleness only produce false positives, which merely run a no-op
 // Algorithm 2 pass over that entry.
 
@@ -42,14 +42,8 @@
 
 #include "cache/cache_entry.hpp"
 #include "dataset/log_analyzer.hpp"
-#include "graph/features.hpp"
 
 namespace gcp {
-
-/// Hashed mask of every edge-label pair of a query's features — the
-/// query-side operand of the delta re-validation screen (same hash as
-/// the batch-side EdgeLabelPairBit masks).
-std::uint64_t EdgeLabelPairMaskOf(const GraphFeatures& features);
 
 /// \brief Inverted change→entry relevance index over one cache store.
 class RelevanceIndex {

@@ -146,8 +146,6 @@ StatisticsManager ShardedCache::AggregateStats() const {
     sum.restored_entries += st.restored_entries;
     sum.reconcile_entries_touched += st.reconcile_entries_touched;
     sum.reconcile_entries_skipped += st.reconcile_entries_skipped;
-    sum.delta_revalidations += st.delta_revalidations;
-    sum.delta_fallback_full_checks += st.delta_fallback_full_checks;
     sum.fragment_admissions += st.fragment_admissions;
     sum.fragment_merges += st.fragment_merges;
     sum.fragment_evictions += st.fragment_evictions;

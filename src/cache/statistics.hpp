@@ -97,22 +97,14 @@ class StatisticsManager {
   /// Entries re-admitted into the stores by snapshot/checkpoint restores.
   std::uint64_t restored_entries = 0;
 
-  // --- Reconciliation counters (change-relevance index + delta
-  // re-validation). Per reconcile event, touched + skipped == resident;
-  // with the relevance index off every resident entry is touched and
-  // skipped stays 0. ---------------------------------------------------
+  // --- Reconciliation counters (change-relevance index). Per reconcile
+  // event, touched + skipped == resident. --------------------------------
   /// Resident entries Algorithm 2 actually ran over during CON
   /// reconciliation (or purged by an EVI reconcile).
   std::uint64_t reconcile_entries_touched = 0;
   /// Resident entries the relevance index proved unaffected by the change
   /// batch — their CGvalid bits were left untouched by construction.
   std::uint64_t reconcile_entries_skipped = 0;
-  /// (entry, dataset-graph) bits Algorithm 2 would have cleared that the
-  /// delta screen proved unchanged and kept valid.
-  std::uint64_t delta_revalidations = 0;
-  /// Delta-screen fallbacks: full Method M containment re-checks of one
-  /// (entry, dataset-graph) pair whose delta was undecidable.
-  std::uint64_t delta_fallback_full_checks = 0;
 
   // --- Fragment-cache counters (one-hop sub-pattern store). Reconcile
   // accounting is kept separate from the entry counters above so the
@@ -138,22 +130,24 @@ class StatisticsManager {
   /// Fragment entries re-admitted by snapshot/checkpoint restores.
   std::uint64_t restored_fragments = 0;
 
-  // --- Overload / byte-budget counters (PR 10). The shed, drain and
-  // pressure groups are engine-level (overlaid like the read-path counters);
-  // the byte-eviction, alloc-failure and restore-drop groups are
-  // per-shard. ----------------------------------------------------------
-  /// Admission offers shed at ELEVATED/CRITICAL pressure — counted at the
-  /// read phase and never queued (whole-query and fragment offers both).
+  // --- Overload / byte-budget counters. The inline-drain counter is
+  // engine-level (overlaid like the read-path counters); the
+  // byte-eviction, alloc-failure and restore-drop groups are per-shard.
+  // ----------------------------------------------------------------------
+  /// Always 0: the engine sheds no admission offers. Kept because the
+  /// end-to-end benchmark reports it.
   std::uint64_t admission_offers_shed = 0;
   /// MPSC TryPush failures that fell back to an inline backpressure drain
   /// of the full shard queue on the producer thread.
   std::uint64_t backpressure_inline_drains = 0;
-  /// Overall pressure-tier ascents into ELEVATED (from NORMAL).
+  /// Always 0: the engine has no pressure tiers. Kept because the
+  /// end-to-end benchmark reports it.
   std::uint64_t pressure_elevated_transitions = 0;
-  /// Overall pressure-tier ascents into CRITICAL.
+  /// Always 0: the engine has no pressure tiers. Kept because the
+  /// end-to-end benchmark reports it.
   std::uint64_t pressure_critical_transitions = 0;
-  /// Queries served straight through uncached Method M because the read
-  /// phase sampled CRITICAL pressure (discovery + fragment tier skipped).
+  /// Always 0: the engine bypasses no queries. Kept because the
+  /// end-to-end benchmark reports it.
   std::uint64_t pressure_bypassed_queries = 0;
   /// Whole-query evictions forced by the byte budget (the utility-per-byte
   /// pass, beyond any entry-count-cap evictions).

@@ -1,6 +1,7 @@
 #include "common/flags.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 
 namespace gcp {
@@ -42,6 +43,27 @@ std::int64_t Flags::GetInt(const std::string& key, std::int64_t def) const {
   char* end = nullptr;
   const std::int64_t v = std::strtoll(it->second.c_str(), &end, 10);
   return (end != nullptr && *end == '\0') ? v : def;
+}
+
+Result<std::uint64_t> Flags::GetCount(const std::string& key,
+                                     std::uint64_t def,
+                                     std::uint64_t max) const {
+  const auto it = values_.find(key);
+  if (it == values_.end()) return def;
+  const std::string& text = it->second;
+  const char* const last = text.data() + text.size();
+  std::uint64_t v = 0;
+  const auto [end, ec] = std::from_chars(text.data(), last, v);
+  if (end != last || ec == std::errc::invalid_argument) {
+    return Status::InvalidArgument("--" + key + "=" + text +
+                                   " is not a non-negative integer");
+  }
+  if (ec == std::errc::result_out_of_range || v > max) {
+    return Status::InvalidArgument("--" + key + "=" + text +
+                                   " is out of range (max " +
+                                   std::to_string(max) + ")");
+  }
+  return v;
 }
 
 double Flags::GetDouble(const std::string& key, double def) const {

@@ -8,6 +8,7 @@
 #define GCP_COMMON_FLAGS_HPP_
 
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -30,6 +31,13 @@ class Flags {
   std::string GetString(const std::string& key, const std::string& def) const;
   /// Integer value or `def` when absent/malformed.
   std::int64_t GetInt(const std::string& key, std::int64_t def) const;
+  /// Count value (a plain decimal number in [0, max]) or `def` when
+  /// absent. InvalidArgument when the value is empty, negative,
+  /// non-numeric or above `max` — a count flag never wraps or silently
+  /// falls back to its default.
+  Result<std::uint64_t> GetCount(
+      const std::string& key, std::uint64_t def,
+      std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
   /// Double value or `def` when absent/malformed.
   double GetDouble(const std::string& key, double def) const;
   /// Bool value ("", "1", "true", "yes" => true) or `def` when absent.

@@ -31,23 +31,15 @@ constexpr std::size_t kMaxFragmentsPerQuery = 8;
 /// Engine-total store options (per-shard splitting happens inside
 /// ShardedCache). Named assignment on purpose: a positional brace init
 /// here silently misbinds when CacheManagerOptions grows a field.
-CacheManagerOptions MakeStoreOptions(const GraphCachePlusOptions& o,
-                                     PressureMonitor* pressure) {
+CacheManagerOptions MakeStoreOptions(const GraphCachePlusOptions& o) {
   CacheManagerOptions c;
   c.cache_capacity = o.cache_capacity;
   c.window_capacity = o.window_capacity;
   c.policy = o.policy;
   c.rng_seed = o.rng_seed;
-  c.fragment_capacity = o.use_fragment_cache ? o.fragment_capacity : 0;
+  c.fragment_capacity = o.fragment_capacity;
   c.byte_budget = o.byte_budget;
-  c.pressure = pressure;
   return c;
-}
-
-PressureConfig MakePressureConfig(std::uint64_t byte_budget) {
-  PressureConfig cfg;
-  cfg.byte_budget = byte_budget;
-  return cfg;
 }
 
 }  // namespace
@@ -74,12 +66,7 @@ GraphCachePlus::GraphCachePlus(GraphDataset* dataset,
       method_m_(options.method_m, *dataset, pool_.get()),
       internal_matcher_(MakeMatcher(kInternalMatcher)),
       discovery_(*internal_matcher_, options_),
-      pressure_(options.byte_budget > 0
-                    ? std::make_unique<PressureMonitor>(
-                          MakePressureConfig(options.byte_budget))
-                    : nullptr),
-      cache_(options.num_shards,
-             MakeStoreOptions(options, pressure_.get())),
+      cache_(options.num_shards, MakeStoreOptions(options)),
       synced_horizon_(dataset->IdHorizon()) {
   pending_.reserve(cache_.num_shards());
   for (std::size_t s = 0; s < cache_.num_shards(); ++s) {
@@ -105,8 +92,6 @@ bool GraphCachePlus::NeedsSyncLocked() const {
 
 void GraphCachePlus::SyncWithDatasetLocked(QueryMetrics* metrics) {
   const ChangeLog& log = dataset_->log();
-  // FTV first: after its sync the summaries reflect the batch-target
-  // state, so the delta re-validation screen below may consult them.
   if (ftv_ != nullptr && !ftv_->InSync()) {
     ScopedTimer timer(&metrics->t_index_ns);
     ftv_->SyncWithDataset();
@@ -124,15 +109,9 @@ void GraphCachePlus::SyncWithDatasetLocked(QueryMetrics* metrics) {
       // through each shard's relevance screen (paper §5.2).
       const std::vector<ChangeRecord> records = log.ExtractSince(watermark_);
       const ChangeCounters counters = LogAnalyzer::Analyze(records);
-      CacheValidator::DeltaRevalidateFn delta_fn;
-      const CacheValidator::DeltaRevalidateFn* delta = nullptr;
-      if (options_.delta_revalidation) {
-        delta_fn = MakeDeltaRevalidator(records);
-        delta = &delta_fn;
-      }
       const std::size_t horizon = dataset_->IdHorizon();
       for (std::size_t s = 0; s < cache_.num_shards(); ++s) {
-        cache_.shard(s).ValidateRelevant(counters, horizon, delta);
+        cache_.shard(s).ValidateRelevant(counters, horizon);
       }
       if (options_.retrospective_budget > 0) {
         std::size_t budget = options_.retrospective_budget;
@@ -243,8 +222,7 @@ void GraphCachePlus::ApplyMaintenanceLocked(std::size_t s,
     if (!discovery_.IsTwin(*entry.query, *c->query)) continue;
     if (c->valid.size() == live.size() && live.IsSubsetOf(c->valid)) {
       // A fully valid twin already covers the offer: it landed between
-      // this query's read phase and its drain (a concurrent twin), or
-      // the shortcut was not taken (a CRITICAL bypass).
+      // this query's read phase and its drain (a concurrent twin).
       ++shard.stats().total_admission_dedups;
       return;
     }
@@ -329,66 +307,6 @@ void GraphCachePlus::MaintenanceDrainPass() {
   MaybeBackgroundCheckpoint();
 }
 
-CacheValidator::DeltaRevalidateFn GraphCachePlus::MakeDeltaRevalidator(
-    const std::vector<ChangeRecord>& records) const {
-  // The dataset is quiescent under the barrier, so its current state is
-  // the batch-target state of every pair.
-  const GraphDataset& ds = *dataset_;
-  auto graph_of = [&ds](GraphId id) -> const Graph* {
-    return ds.IsLive(id) ? &ds.graph(id) : nullptr;
-  };
-  // The caller synced the FTV index first: its summaries are target-state.
-  const FtvIndex* ftv = ftv_ != nullptr && ftv_->InSync() ? ftv_.get()
-                                                          : nullptr;
-  // One pass over the batch up front; the per-pair hook is then mask
-  // tests plus (rarely) one containment check.
-  ChangeBatchFootprint footprint =
-      LogAnalyzer::PairFootprint(records, graph_of);
-  const SubgraphMatcher& verifier = method_m_.matcher();
-  return [footprint = std::move(footprint), graph_of, ftv, &verifier](
-             CachedQuery& e, GraphId graph_id,
-             StatisticsManager& stats) -> bool {
-    const bool super = e.kind == CachedQueryKind::kSupergraph;
-    if (!super) {
-      // Pair screen (sub entries only): a positive bit (query ⊆ G) can
-      // only break when an edge whose label pair the query uses was
-      // REMOVED; a negative bit only when such a pair was ADDED. If the
-      // batch's per-graph delta is exact, non-structural and disjoint
-      // from the query's pair mask, the old bit provably still holds.
-      const GraphChangeDelta* d = footprint.Find(graph_id);
-      if (d != nullptr && d->pairs_exact && !d->structural) {
-        const std::uint64_t breaking = e.answer.Test(graph_id)
-                                           ? d->removed_pair_mask
-                                           : d->added_pair_mask;
-        if ((breaking & EdgeLabelPairMaskOf(e.features)) == 0) {
-          ++stats.delta_revalidations;
-          return true;  // keep the bit as-is
-        }
-      }
-    }
-    // Fallback: re-verify the pair against the batch-target graph state
-    // (exact — labels are immutable and ids never reused, so the target
-    // state is the state every surviving record left the graph in).
-    const Graph* g = graph_of(graph_id);
-    if (g == nullptr) return false;  // dead at target — plain clear
-    bool contained;
-    const GraphFeatures* summary =
-        ftv != nullptr ? ftv->SummaryOf(graph_id) : nullptr;
-    if (summary != nullptr &&
-        (super ? !summary->CouldBeSubgraphOf(e.features)
-               : !e.features.CouldBeSubgraphOf(*summary))) {
-      contained = false;  // feature prescreen: containment impossible
-    } else {
-      contained = super ? verifier.Contains(*g, *e.query)
-                        : verifier.Contains(*e.query, *g);
-    }
-    e.answer.Set(graph_id, contained);
-    e.valid.Set(graph_id, true);
-    ++stats.delta_fallback_full_checks;
-    return true;
-  };
-}
-
 void GraphCachePlus::ApplyDatasetChanges(
     const std::function<void(GraphDataset&)>& fn) {
   std::unique_lock<std::shared_mutex> lock(mu_);
@@ -446,18 +364,8 @@ StatisticsManager GraphCachePlus::CacheStatsSnapshot() const {
   stats.warm_restarts = warm_restarts_.load(std::memory_order_relaxed);
   stats.warm_restart_rejected =
       warm_restart_rejected_.load(std::memory_order_relaxed);
-  // Overload counters are engine-level too; tier transitions live in the
-  // pressure monitor.
-  stats.admission_offers_shed =
-      admission_offers_shed_.load(std::memory_order_relaxed);
   stats.backpressure_inline_drains =
       backpressure_inline_drains_.load(std::memory_order_relaxed);
-  stats.pressure_bypassed_queries =
-      pressure_bypassed_queries_.load(std::memory_order_relaxed);
-  if (pressure_ != nullptr) {
-    stats.pressure_elevated_transitions = pressure_->elevated_transitions();
-    stats.pressure_critical_transitions = pressure_->critical_transitions();
-  }
   return stats;
 }
 
@@ -717,28 +625,13 @@ void GraphCachePlus::ExecuteReadSlice(const Graph& g, QueryKind kind,
 
   m.candidates_initial = csm.Count();
 
-  // --- Pressure gate: the tier is sampled ONCE per read slice so one
-  // query sees one consistent degradation level. ELEVATED sheds this
-  // query's admission offers (whole-query and fragment — counted, never
-  // queued); CRITICAL additionally disables the fragment tier and skips
-  // hit discovery entirely, serving the miss straight through uncached
-  // Method M. Every shed path is pruning/transfer-only, so answers stay
-  // bit-exact by construction.
-  const PressureTier tier =
-      pressure_ == nullptr ? PressureTier::kNormal : pressure_->tier();
-  const bool shed_offers = tier != PressureTier::kNormal;
-  const bool bypass_cache = tier == PressureTier::kCritical;
-  if (bypass_cache) {
-    pressure_bypassed_queries_.fetch_add(1, std::memory_order_relaxed);
-  }
-
   // --- §6.3 case 1 first: the digest-keyed twin lookup in the query's
   // home shard. A resident isomorphic twin fully valid over CS_M answers
   // the query outright — no fragments, no discovery, no Method M, no
   // offer. Candidates are copied out under the shared home-shard lock;
   // the isomorphism check runs with no lock held. On a miss the digest
   // keys the admission offer.
-  const bool lookup_twin = options_.enable_exact_shortcut && !bypass_cache;
+  const bool lookup_twin = options_.enable_exact_shortcut;
   std::uint64_t digest = 0;
   if (lookup_twin) {
     Stopwatch lookup_watch;
@@ -771,9 +664,8 @@ void GraphCachePlus::ExecuteReadSlice(const Graph& g, QueryKind kind,
   // candidates; supergraph queries have no such transfer. Gated with
   // admission: a pass-through engine must not learn fragments either.
   std::vector<Fragment> fragments;
-  if (options_.use_fragment_cache && options_.enable_admission &&
-      options_.fragment_capacity > 0 && kind == QueryKind::kSubgraph &&
-      !bypass_cache) {
+  if (options_.enable_admission && options_.fragment_capacity > 0 &&
+      kind == QueryKind::kSubgraph) {
     ScopedTimer timer(&m.t_fragment_ns);
     fragments = DecomposeToFragments(g, kMaxFragmentsPerQuery);
   }
@@ -787,33 +679,27 @@ void GraphCachePlus::ExecuteReadSlice(const Graph& g, QueryKind kind,
   // (shard-exclusive) therefore overlaps everything but the one-shard
   // prescreen it contends with.
   Stopwatch probe_watch;
-  DiscoveredHits hits;
-  // Extracted once for discovery and reused by the admission offer (which
-  // a bypassed query never makes).
-  GraphFeatures features;
-  if (!bypass_cache) {
-    features = GraphFeatures::Extract(g);
-    std::vector<HitDiscovery::Candidate> pool;
-    for (std::size_t s = 0; s < cache_.num_shards(); ++s) {
-      const auto shard_lock = cache_.LockShared(s);
-      discovery_.CollectShard(features, kind, cache_.shard(s), csm, &pool,
-                              &m);
-      // Fragment probe rides the same shard lock. Masks are copied out;
-      // intersection runs later with no lock held.
-      for (std::size_t i = 0; i < fragments.size(); ++i) {
-        if (cache_.ShardOfDigest(fragments[i].digest) != s) continue;
-        const CachedQuery* e = cache_.shard(s).fragments().Probe(
-            fragments[i].digest, fragments[i].labels);
-        // A fragment not yet extended to this horizon contributes
-        // nothing this query (pruning is optional, never required).
-        if (e == nullptr || e->valid.size() != csm.size()) continue;
-        fragment_masks[i] = e->ValidNonAnswer();
-        fragment_resident[i] = 1;
-        ++m.fragment_hits;
-      }
+  // Extracted once for discovery and reused by the admission offer.
+  GraphFeatures features = GraphFeatures::Extract(g);
+  std::vector<HitDiscovery::Candidate> pool;
+  for (std::size_t s = 0; s < cache_.num_shards(); ++s) {
+    const auto shard_lock = cache_.LockShared(s);
+    discovery_.CollectShard(features, kind, cache_.shard(s), csm, &pool, &m);
+    // Fragment probe rides the same shard lock. Masks are copied out;
+    // intersection runs later with no lock held.
+    for (std::size_t i = 0; i < fragments.size(); ++i) {
+      if (cache_.ShardOfDigest(fragments[i].digest) != s) continue;
+      const CachedQuery* e = cache_.shard(s).fragments().Probe(
+          fragments[i].digest, fragments[i].labels);
+      // A fragment not yet extended to this horizon contributes
+      // nothing this query (pruning is optional, never required).
+      if (e == nullptr || e->valid.size() != csm.size()) continue;
+      fragment_masks[i] = e->ValidNonAnswer();
+      fragment_resident[i] = 1;
+      ++m.fragment_hits;
     }
-    hits = discovery_.ResolveHits(g, kind, std::move(pool), &m);
   }
+  DiscoveredHits hits = discovery_.ResolveHits(g, kind, std::move(pool), &m);
   m.t_probe_ns += probe_watch.ElapsedNanos();
 
   // --- Candidate-set pruning (formulas (1)-(5), §6.3 case 2). -----------
@@ -849,25 +735,19 @@ void GraphCachePlus::ExecuteReadSlice(const Graph& g, QueryKind kind,
         }
         ++m.fragment_computed;
         computed = DynamicBitset::AndNot(csm, star_answer);
-        if (shed_offers) {
-          // ELEVATED: the freshly computed knowledge still prunes THIS
-          // query (below), but is not offered to the store.
-          admission_offers_shed_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          // The fresh knowledge covers exactly the candidates checked:
-          // valid = CS_M, stamped with the watermark it was computed at.
-          const double cost = StatisticsManager::StructuralCostEstimateMs(star);
-          GraphFeatures star_features = GraphFeatures::Extract(star);
-          AdmissionOffer offer;
-          offer.entry = CacheManager::PrepareEntry(
-              std::make_shared<const Graph>(std::move(star)),
-              CachedQueryKind::kSubgraph, std::move(star_answer),
-              DynamicBitset(csm), cost, fragments[i].digest,
-              std::move(star_features));
-          offer.observed_watermark = watermark_;
-          batch_for(cache_.ShardOfDigest(fragments[i].digest))
-              .fragment_offers.push_back(std::move(offer));
-        }
+        // The fresh knowledge covers exactly the candidates checked:
+        // valid = CS_M, stamped with the watermark it was computed at.
+        const double cost = StatisticsManager::StructuralCostEstimateMs(star);
+        GraphFeatures star_features = GraphFeatures::Extract(star);
+        AdmissionOffer offer;
+        offer.entry = CacheManager::PrepareEntry(
+            std::make_shared<const Graph>(std::move(star)),
+            CachedQueryKind::kSubgraph, std::move(star_answer),
+            DynamicBitset(csm), cost, fragments[i].digest,
+            std::move(star_features));
+        offer.observed_watermark = watermark_;
+        batch_for(cache_.ShardOfDigest(fragments[i].digest))
+            .fragment_offers.push_back(std::move(offer));
       }
       const DynamicBitset& mask =
           fragment_resident[i] ? fragment_masks[i] : computed;
@@ -923,11 +803,7 @@ void GraphCachePlus::ExecuteReadSlice(const Graph& g, QueryKind kind,
   // watermark the answer snapshot is consistent with and routed to the
   // query digest's home shard. (Exact hits returned above: they carry no
   // new knowledge.) -----------------------------------------------------
-  if (options_.enable_admission && shed_offers) {
-    // ELEVATED/CRITICAL: the answer was produced normally, but the store
-    // is not offered the new entry — no queue traffic, no bytes.
-    admission_offers_shed_.fetch_add(1, std::memory_order_relaxed);
-  } else if (options_.enable_admission) {
+  if (options_.enable_admission) {
     // Entry preparation is admission work executed early (off any
     // exclusive lock), so it bills to maintenance, not query time.
     ScopedTimer timer(&m.t_maintenance_ns);
@@ -1021,11 +897,6 @@ QueryResult GraphCachePlus::Query(const Graph& g, QueryKind kind) {
     for (auto& [s, batch] : deferred) {
       std::size_t size_after = 0;
       if (pending_[s]->TryPush(std::move(batch), &size_after)) {
-        if (pressure_ != nullptr) {
-          // Feed the queue channel: depth after a successful push is how
-          // far behind the drains are.
-          pressure_->NoteQueueDepth(size_after, pending_[s]->capacity());
-        }
         if (maintenance_ != nullptr) {
           // Queue-pressure wakeup: don't let a half-full queue wait for
           // the timer. Below the threshold the timer tick picks it up.
@@ -1046,17 +917,8 @@ QueryResult GraphCachePlus::Query(const Graph& g, QueryKind kind) {
         // Backpressure: shard s's bounded queue is full — drain inline,
         // then apply this query's own rejected batch under the same lock.
         backpressure_inline_drains_.fetch_add(1, std::memory_order_relaxed);
-        if (pressure_ != nullptr) {
-          // A full queue is the strongest queue-pressure signal.
-          pressure_->NoteQueueDepth(pending_[s]->capacity(),
-                                    pending_[s]->capacity());
-        }
         ScopedTimer timer(&m.t_maintenance_ns);
         DrainShard(s, /*try_lock=*/false, &batch);
-        if (pressure_ != nullptr) {
-          // The inline drain emptied the queue; let the channel recover.
-          pressure_->NoteQueueDepth(0, pending_[s]->capacity());
-        }
       }
     }
   }

@@ -227,17 +227,6 @@ class GraphCachePlus {
     return engine_lock_acquisitions_.load(std::memory_order_relaxed);
   }
 
-  /// The overload pressure monitor, or nullptr when options().byte_budget
-  /// is 0. Exposed mutable so torture tests can drive deterministic tier
-  /// transitions (AddBytes / NoteQueueDepth) around real queries.
-  PressureMonitor* pressure_monitor() { return pressure_.get(); }
-  const PressureMonitor* pressure_monitor() const { return pressure_.get(); }
-
-  /// Current overall pressure tier (NORMAL when no monitor is armed).
-  PressureTier pressure_tier() const {
-    return pressure_ == nullptr ? PressureTier::kNormal : pressure_->tier();
-  }
-
   const GraphCachePlusOptions& options() const { return options_; }
   const GraphDataset& dataset() const { return *dataset_; }
   /// The FTV index, or nullptr when options().use_ftv_index is off.
@@ -388,17 +377,6 @@ class GraphCachePlus {
   void RetrospectiveRefreshShard(std::size_t s, const DynamicBitset& live,
                                  std::size_t* budget);
 
-  /// Builds the per-batch delta re-validation hook (CON +
-  /// options_.delta_revalidation): for every (entry, graph) pair
-  /// Algorithm 2 would invalidate, keep the bit when the batch's
-  /// edge-label-pair delta proves the relation unchanged, else re-verify
-  /// the pair against the dataset's current (batch-target) graph state —
-  /// FTV-summary prescreen when the index is in sync, then one
-  /// containment check — and rewrite answer/valid. Requires the
-  /// stop-the-world barrier for as long as the hook is used.
-  CacheValidator::DeltaRevalidateFn MakeDeltaRevalidator(
-      const std::vector<ChangeRecord>& records) const;
-
   GraphDataset* dataset_;
   GraphCachePlusOptions options_;
   std::unique_ptr<ThreadPool> pool_;
@@ -411,10 +389,6 @@ class GraphCachePlus {
   /// the dataset. Read phases and drains hold it shared; sync/dataset
   /// changes exclusive. Always taken before any shard lock.
   mutable std::shared_mutex mu_;
-  /// Overload pressure monitor — created iff options.byte_budget > 0, fed
-  /// by every shard store's byte accounting and the queue hand-off.
-  /// Declared before cache_: the shard stores hold the raw pointer.
-  std::unique_ptr<PressureMonitor> pressure_;
   ShardedCache cache_;
   /// Change-log position every store's validity state is reconciled to.
   LogSeq watermark_ = 0;
@@ -450,10 +424,8 @@ class GraphCachePlus {
   std::atomic<std::uint64_t> warm_restarts_{0};
   std::atomic<std::uint64_t> warm_restart_rejected_{0};
 
-  // Overload counters (engine-level; overlaid onto CacheStatsSnapshot).
-  std::atomic<std::uint64_t> admission_offers_shed_{0};
+  // Overload counter (engine-level; overlaid onto CacheStatsSnapshot).
   std::atomic<std::uint64_t> backpressure_inline_drains_{0};
-  std::atomic<std::uint64_t> pressure_bypassed_queries_{0};
 
   /// Background scheduling state — touched only on the maintenance
   /// thread, so plain members suffice.

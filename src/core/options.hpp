@@ -59,7 +59,8 @@ struct GraphCachePlusOptions {
   /// whatever CS_M Method M produces.
   bool use_ftv_index = false;
 
-  /// Sub-pattern fragment cache: decompose each subgraph query into
+  /// Sub-pattern fragment cache, as its total capacity across all shards
+  /// (entries; 0 turns the tier off): decompose each subgraph query into
   /// canonical one-hop star fragments (match/fragments), cache
   /// per-fragment candidate bitsets beside the whole-query entries, and
   /// on a whole-query miss intersect the valid fragment non-answers out
@@ -67,22 +68,7 @@ struct GraphCachePlusOptions {
   /// and sub-iso verification. Pruning-only: a stale or missing fragment
   /// can never change an answer, so answers, the resident whole-query
   /// state and replacement decisions are the same with the tier off.
-  bool use_fragment_cache = true;
-
-  /// Total fragment-store capacity across all shards (entries). 0
-  /// disables the store outright even when use_fragment_cache is set.
   std::size_t fragment_capacity = 256;
-
-  /// Delta re-validation, CON only: for each (entry, dataset-graph) pair
-  /// Algorithm 2 would invalidate, first try to prove the cached
-  /// relation unchanged from the batch's edge-label-pair delta (the bit
-  /// stays valid), and otherwise re-verify the pair with one full
-  /// containment check against the batch-target graph state (the bit
-  /// becomes valid with a fresh answer) instead of fading it. Keeps
-  /// more of the cache hot under churn at reconcile-time verification
-  /// cost. Answers stay exact either way; off preserves Algorithm 2's
-  /// fade-only behaviour bit-exactly.
-  bool delta_revalidation = false;
 
   /// Retrospective validation (the paper's §8 future-work optimisation),
   /// CON only: after Algorithm 2 fades validity bits, spend up to this
@@ -144,10 +130,10 @@ struct GraphCachePlusOptions {
   /// fragment store when fragments are on). Evictions the budget forces
   /// rank by utility-per-byte (paper R ÷ footprint); the entry-count caps
   /// above still apply first, so a budget that never binds reproduces the
-  /// entry-count engine bit-exactly. Also arms the pressure monitor:
-  /// ELEVATED pressure sheds new admission offers, CRITICAL additionally
-  /// serves queries straight through uncached Method M. 0 = off (the
-  /// entry-count model alone, no monitor).
+  /// entry-count engine bit-exactly. The budget is enforced once per drain,
+  /// so the resident footprint can overshoot it by one drain's admissions
+  /// until that drain's byte pass runs. 0 = off (the entry-count model
+  /// alone).
   std::size_t byte_budget = 0;
 
   /// Seed for cache-internal randomness (RANDOM policy).

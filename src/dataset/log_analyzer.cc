@@ -16,52 +16,6 @@ bool ChangeCounters::IsUrExclusive(GraphId id) const {
   return ur != edge_removes.end() && ur->second == tc->second;
 }
 
-std::uint64_t EdgeLabelPairBit(Label a, Label b) {
-  const Label lo = a < b ? a : b;
-  const Label hi = a < b ? b : a;
-  // splitmix64-style finalizer over the packed unordered pair.
-  std::uint64_t h =
-      (static_cast<std::uint64_t>(lo) << 32) | static_cast<std::uint64_t>(hi);
-  h += 0x9e3779b97f4a7c15ULL;
-  h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-  h ^= h >> 31;
-  return std::uint64_t{1} << (h & 63);
-}
-
-ChangeBatchFootprint LogAnalyzer::PairFootprint(
-    const std::vector<ChangeRecord>& records,
-    const std::function<const Graph*(GraphId)>& graph_of) {
-  ChangeBatchFootprint fp;
-  for (const ChangeRecord& r : records) {
-    GraphChangeDelta& d = fp.deltas[r.graph_id];
-    switch (r.type) {
-      case ChangeType::kAdd:
-      case ChangeType::kDelete:
-        d.structural = true;
-        break;
-      case ChangeType::kEdgeAdd:
-      case ChangeType::kEdgeRemove: {
-        const Graph* g = graph_of ? graph_of(r.graph_id) : nullptr;
-        if (g == nullptr || r.edge_u >= g->NumVertices() ||
-            r.edge_v >= g->NumVertices()) {
-          d.pairs_exact = false;
-          break;
-        }
-        const std::uint64_t bit =
-            EdgeLabelPairBit(g->label(r.edge_u), g->label(r.edge_v));
-        if (r.type == ChangeType::kEdgeAdd) {
-          d.added_pair_mask |= bit;
-        } else {
-          d.removed_pair_mask |= bit;
-        }
-        break;
-      }
-    }
-  }
-  return fp;
-}
-
 ChangeCounters LogAnalyzer::Analyze(const std::vector<ChangeRecord>& records) {
   ChangeCounters c;
   // Algorithm 1, lines 6-17: one pass over the incremental records,

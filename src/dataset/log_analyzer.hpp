@@ -13,12 +13,10 @@
 #define GCP_DATASET_LOG_ANALYZER_HPP_
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
 #include "dataset/change.hpp"
-#include "graph/graph.hpp"
 
 namespace gcp {
 
@@ -39,52 +37,12 @@ struct ChangeCounters {
   bool IsUrExclusive(GraphId id) const;
 };
 
-/// Hashed 64-bit mask bit of the unordered edge-label pair {a, b}. The
-/// delta re-validation screen intersects these masks; collisions are
-/// conservative (they can only widen the "maybe affected" set, never
-/// prove a pair absent that is present).
-std::uint64_t EdgeLabelPairBit(Label a, Label b);
-
-/// Per-graph delta summary of one change batch — the raw material of the
-/// delta re-validation screen (a refinement of the ChangeCounters op
-/// classes down to *which* edge-label pairs a batch added/removed).
-struct GraphChangeDelta {
-  /// An ADD or DEL record touched the graph: the batch is structurally
-  /// undecidable for it (label-pair screens don't apply).
-  bool structural = false;
-  /// False when an endpoint label could not be resolved; treat every
-  /// screen over this graph as undecidable.
-  bool pairs_exact = true;
-  std::uint64_t added_pair_mask = 0;    ///< pairs of UA (edge-add) records
-  std::uint64_t removed_pair_mask = 0;  ///< pairs of UR (edge-remove) records
-};
-
-/// Batch footprint keyed by touched graph id.
-struct ChangeBatchFootprint {
-  std::unordered_map<GraphId, GraphChangeDelta> deltas;
-
-  const GraphChangeDelta* Find(GraphId id) const {
-    const auto it = deltas.find(id);
-    return it == deltas.end() ? nullptr : &it->second;
-  }
-};
-
 /// \brief Runs Algorithm 1 over the incremental records.
 class LogAnalyzer {
  public:
   /// Analyzes `records` (the suffix of the dataset log not yet reflected in
   /// cache) and returns the per-graph operation counters.
   static ChangeCounters Analyze(const std::vector<ChangeRecord>& records);
-
-  /// Companion of Analyze: per-graph label-pair deltas over the same
-  /// records. `graph_of` resolves a graph id to its batch-target state
-  /// (nullptr when the graph is dead there). Vertex labels are immutable
-  /// over a graph's lifetime and ids are never reused, so resolving a
-  /// UA/UR endpoint label against the target state is exact; unresolvable
-  /// endpoints mark the graph's delta as not pairs_exact.
-  static ChangeBatchFootprint PairFootprint(
-      const std::vector<ChangeRecord>& records,
-      const std::function<const Graph*(GraphId)>& graph_of);
 };
 
 }  // namespace gcp

@@ -87,8 +87,7 @@ RunReport RunWorkload(const std::vector<Graph>& initial,
   opts.maintenance_thread = config.maintenance_thread;
   opts.max_sub_hits = config.max_sub_hits;
   opts.max_super_hits = config.max_super_hits;
-  opts.use_fragment_cache = config.fragments;
-  opts.delta_revalidation = config.delta_revalidation;
+  if (!config.fragments) opts.fragment_capacity = 0;
   opts.retrospective_budget = config.retrospective_budget;
   opts.use_ftv_index = config.use_ftv;
   opts.checkpoint_dir = config.checkpoint_dir;

@@ -59,13 +59,10 @@ struct RunnerConfig {
   bool maintenance_thread = false;
   std::size_t max_sub_hits = 16;
   std::size_t max_super_hits = 16;
-  /// CON-only delta re-validation at reconcile time (default off):
-  /// per-pair keep/re-verify instead of Algorithm 2's fade-only clears.
-  bool delta_revalidation = false;
   /// Sub-pattern fragment cache (on, the default) or the fragment-free
-  /// oracle (off) — answers, resident whole-query state and replacement
-  /// decisions are bit-exact either way; off is the "before" side of the
-  /// fragments bench.
+  /// oracle (off: fragment_capacity 0) — answers, resident whole-query
+  /// state and replacement decisions are bit-exact either way; off is the
+  /// "before" side of the fragments bench.
   bool fragments = true;
   /// CON-only retrospective validation budget per sync (0 = off, §8).
   std::size_t retrospective_budget = 0;

@@ -280,29 +280,12 @@ std::vector<std::string> StateOf(const CacheManager& cm) {
   return out;
 }
 
-/// Deterministic stand-in for the engine's delta re-validation hook,
-/// keyed on (entry id, graph id) so both stores see the same outcome for
-/// the same pair: it keeps a third of the bits Algorithm 2 would clear,
-/// re-verifies a third with a flipped answer (so the relevance footprint
-/// must widen to the other polarity), and lets the rest fall through to
-/// the clear.
-bool FixedDeltaHook(CachedQuery& e, GraphId g, StatisticsManager& stats) {
-  switch ((7 * e.id + g) % 3) {
-    case 0:
-      ++stats.delta_revalidations;
-      return true;
-    case 1:
-      e.answer.Set(g, !e.answer.Test(g));
-      e.valid.Set(g, true);
-      ++stats.delta_fallback_full_checks;
-      return true;
-    default:
-      return false;
-  }
-}
-
-void RunValidateRelevantVsOracle(
-    const CacheValidator::DeltaRevalidateFn* delta) {
+TEST(RelevanceIndexManagerTest, ValidateRelevantMatchesOracleRandomized) {
+  // Two stores built identically — one reconciles through the relevance
+  // index, the other brute-force (ValidateAll, the reference). After every
+  // randomized batch all resident bitsets must be identical, and the
+  // accounting invariants must hold: touched + skipped == resident per
+  // event on the indexed store, skipped == 0 always on the reference.
   Rng rng(1234);
   const std::size_t horizon = 300;  // several 64-id blocks
   CacheManager indexed(ManagerOptions());
@@ -359,8 +342,8 @@ void RunValidateRelevantVsOracle(
       }
     }
     const ChangeCounters counters = LogAnalyzer::Analyze(log.ExtractSince(0));
-    indexed.ValidateRelevant(counters, horizon, delta);
-    oracle.ValidateAll(counters, horizon, delta);
+    indexed.ValidateRelevant(counters, horizon);
+    oracle.ValidateAll(counters, horizon);
     ++events;
     ASSERT_EQ(StateOf(indexed), StateOf(oracle)) << "round " << round;
     EXPECT_EQ(indexed.stats().reconcile_entries_touched +
@@ -373,32 +356,6 @@ void RunValidateRelevantVsOracle(
   EXPECT_GT(indexed.stats().reconcile_entries_skipped, 0u);
   EXPECT_EQ(oracle.stats().reconcile_entries_touched,
             events * oracle.resident());
-  // The screen skips only entries whose pairs never reach the clear site,
-  // so the hook saw the same pairs in both stores.
-  EXPECT_EQ(indexed.stats().delta_revalidations,
-            oracle.stats().delta_revalidations);
-  EXPECT_EQ(indexed.stats().delta_fallback_full_checks,
-            oracle.stats().delta_fallback_full_checks);
-  if (delta != nullptr) {
-    EXPECT_GT(oracle.stats().delta_revalidations, 0u);
-    EXPECT_GT(oracle.stats().delta_fallback_full_checks, 0u);
-  }
-}
-
-TEST(RelevanceIndexManagerTest, ValidateRelevantMatchesOracleRandomized) {
-  // Two stores built identically — one reconciles through the relevance
-  // index, the other brute-force (ValidateAll, the reference). After every
-  // randomized batch all resident bitsets must be identical, and the
-  // accounting invariants must hold: touched + skipped == resident per
-  // event on the indexed store, skipped == 0 always on the reference.
-  // Once with Algorithm 2 alone, once with a delta hook.
-  {
-    SCOPED_TRACE("fade-only");
-    RunValidateRelevantVsOracle(nullptr);
-  }
-  const CacheValidator::DeltaRevalidateFn hook = FixedDeltaHook;
-  SCOPED_TRACE("delta hook");
-  RunValidateRelevantVsOracle(&hook);
 }
 
 TEST(RelevanceIndexManagerTest, ValidateRelevantExtendsAllIndicators) {

@@ -84,5 +84,41 @@ TEST(FlagsTest, NegativeNumericValueAfterSpace) {
   EXPECT_EQ(f.GetInt("k", 0), -3);
 }
 
+TEST(FlagsTest, CountParsesPlainDecimals) {
+  const Flags f = ParseArgs({"--graphs=500", "--cache", "0",
+                             "--budget=18446744073709551615"});
+  EXPECT_EQ(f.GetCount("graphs", 7).value(), 500u);
+  EXPECT_EQ(f.GetCount("cache", 7).value(), 0u);
+  EXPECT_EQ(f.GetCount("budget", 7).value(), 18446744073709551615u);
+  EXPECT_EQ(f.GetCount("absent", 7).value(), 7u);
+}
+
+TEST(FlagsTest, CountRejectsNegativeValues) {
+  const Flags f = ParseArgs({"--graphs=-1", "--byte-budget=-5", "--z=-0"});
+  for (const char* key : {"graphs", "byte-budget", "z"}) {
+    const Result<std::uint64_t> v = f.GetCount(key, 7);
+    ASSERT_FALSE(v.ok()) << key;
+    EXPECT_EQ(v.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(v.status().message().find(key), std::string::npos);
+  }
+}
+
+TEST(FlagsTest, CountRejectsOverflow) {
+  const Flags f = ParseArgs({"--huge=18446744073709551616",
+                             "--wide=4294967296", "--fits=4294967295"});
+  EXPECT_FALSE(f.GetCount("huge", 0).ok());
+  // Above the caller's bound (a uint32_t field) is an error, not a wrap.
+  EXPECT_FALSE(f.GetCount("wide", 0, 4294967295u).ok());
+  EXPECT_EQ(f.GetCount("fits", 0, 4294967295u).value(), 4294967295u);
+}
+
+TEST(FlagsTest, CountRejectsNonNumericValues) {
+  const Flags f = ParseArgs({"--a=abc", "--b=12x", "--c=1.5", "--d=+3",
+                             "--e= 4", "--f", "--g=0x10"});
+  for (const char* key : {"a", "b", "c", "d", "e", "f", "g"}) {
+    EXPECT_FALSE(f.GetCount(key, 7).ok()) << key;
+  }
+}
+
 }  // namespace
 }  // namespace gcp

@@ -53,9 +53,9 @@ EngineUnderTest MakeEngine(const std::vector<Graph>& corpus, CacheModel model,
   opts.window_capacity = 4;
   opts.num_shards = shards;
   opts.use_ftv_index = true;
-  opts.use_fragment_cache = fragments;
-  // Small enough that the churn exercises fragment LRU eviction too.
-  opts.fragment_capacity = 24;
+  // Small enough that the churn exercises fragment LRU eviction too; 0
+  // turns the tier off.
+  opts.fragment_capacity = fragments ? 24 : 0;
   if (!admission) {
     opts.enable_admission = false;
     opts.enable_exact_shortcut = false;

@@ -5,7 +5,7 @@
 // N and demands the run degrade gracefully: answers bit-exact vs an
 // uncached Method M oracle, no crash, the refused state simply shed. A
 // blackout scenario (every site failing at once) must serve uncached and
-// then recover to full caching when the pressure lifts.
+// then recover to full caching once the faults stop.
 
 #include <gtest/gtest.h>
 
@@ -57,8 +57,8 @@ GraphCachePlusOptions EngineOptions() {
   opts.window_capacity = 2;
   opts.num_shards = 2;
   opts.fragment_capacity = 16;
-  // Arm the pressure monitor (never binds at this scale) so recovery to
-  // NORMAL is part of what every sweep iteration proves.
+  // A byte budget that never binds at this scale: every sweep iteration
+  // runs the budgeted engine's accounting path.
   opts.byte_budget = std::size_t{1} << 30;
   return opts;
 }
@@ -124,8 +124,6 @@ TEST(OomMatrixTest, FailingEveryNthAllocationKeepsAnswersExact) {
     GraphCachePlus gc(&ds, EngineOptions());
     EXPECT_EQ(SeedRun(gc, ds), oracle) << "divergence with OOM at consult "
                                        << n;
-    EXPECT_EQ(gc.pressure_tier(), PressureTier::kNormal)
-        << "no recovery after OOM at consult " << n;
     if (injector.fired() > 0) {
       switch (injector.fired_site()) {
         case AllocSite::kAdmission: saw_admission = true; break;
@@ -167,7 +165,7 @@ TEST(OomMatrixTest, AllocationBlackoutServesUncachedThenRecovers) {
   EXPECT_GT(starved.alloc_failed_fragments, 0u);
   EXPECT_FALSE(gc.ExportSnapshot().ok());
 
-  // Memory pressure lifts: caching resumes on the same engine instance.
+  // The faults stop: caching resumes on the same engine instance.
   injector.DisarmScript();
   for (const Graph& q : Queries()) {
     (void)gc.SubgraphQuery(q);
@@ -176,7 +174,6 @@ TEST(OomMatrixTest, AllocationBlackoutServesUncachedThenRecovers) {
   const StatisticsManager recovered = gc.CacheStatsSnapshot();
   EXPECT_GT(recovered.total_admissions, 0u);
   EXPECT_TRUE(gc.ExportSnapshot().ok());
-  EXPECT_EQ(gc.pressure_tier(), PressureTier::kNormal);
 }
 
 TEST(OomMatrixTest, SnapshotExportFaultFailsCheckpointGracefully) {

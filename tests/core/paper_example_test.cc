@@ -45,7 +45,7 @@ class PaperExampleTest : public ::testing::Test {
     opts.cache_capacity = 100;
     // The paper's timeline has no fragment tier; keep its exact per-step
     // si_tests counts (fragment pruning is gated elsewhere).
-    opts.use_fragment_cache = false;
+    opts.fragment_capacity = 0;
     gc_ = std::make_unique<GraphCachePlus>(&dataset_, opts);
   }
 

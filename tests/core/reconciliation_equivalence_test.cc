@@ -1,21 +1,16 @@
-// Reconciliation equivalence gates:
-//
-// 1. ReconciliationEquivalenceTest — over a 300-step churn of interleaved
-//    queries and dataset changes, an engine reconciling through the
-//    change-relevance index must answer every query exactly as an
-//    uncached Method M engine replaying the same churn does, across
-//    {CON, EVI} × shards {1, 8}. The localized churn makes the screen
-//    skip entries under CON (EVI purges everything). Under CON the churn
-//    also fades resident twins that later repeats refresh in place at
-//    drain time (asserted to happen); the merged bitsets must keep every
-//    relevance footprint a superset and every byte gauge exact. That the
-//    screen itself is bit-exact against brute-force Algorithm 2 is pinned
-//    at the store level by
-//    RelevanceIndexManagerTest.ValidateRelevantMatchesOracleRandomized.
-//
-// 2. DeltaRevalidationEquivalenceTest — with delta re-validation ON,
-//    answers stay exact vs uncached Method M, the delta counters prove
-//    the hook actually ran, and the relevance screen still skips entries.
+// Reconciliation equivalence gate: over a 300-step churn of interleaved
+// queries and dataset changes, an engine reconciling through the
+// change-relevance index must answer every query exactly as an uncached
+// Method M engine replaying the same churn does, across {CON, EVI} ×
+// shards {1, 8}. The localized churn makes the screen skip entries under
+// CON (EVI purges everything). Under CON the churn also fades resident
+// twins that later repeats refresh in place at drain time (asserted to
+// happen), and a retrospective budget restores faded bits at every
+// reconcile; both write valid bits outside Algorithm 2, so every
+// relevance footprint must stay a superset and every byte gauge exact.
+// That the screen itself is bit-exact against brute-force Algorithm 2 is
+// pinned at the store level by
+// RelevanceIndexManagerTest.ValidateRelevantMatchesOracleRandomized.
 
 #include <gtest/gtest.h>
 
@@ -45,7 +40,6 @@ std::vector<Graph> ChurnCorpus(std::uint64_t seed) {
 
 struct EngineConfig {
   std::string label;
-  bool delta = false;
   std::size_t shards = 1;
   std::size_t retro_budget = 0;
   bool admission = true;  // false = uncached Method M passthrough
@@ -68,9 +62,8 @@ EngineUnderTest MakeEngine(const std::vector<Graph>& corpus, CacheModel model,
   opts.cache_capacity = 16;
   opts.window_capacity = 4;
   opts.num_shards = cfg.shards;
-  opts.delta_revalidation = cfg.delta;
   opts.retrospective_budget = cfg.retro_budget;
-  opts.use_ftv_index = true;  // the delta fallback's feature prescreen
+  opts.use_ftv_index = true;  // each reconcile also syncs the FTV index
   if (!cfg.admission) {
     opts.enable_admission = false;
     opts.enable_exact_shortcut = false;
@@ -145,21 +138,21 @@ void RunReconcileReplay(CacheModel model, std::size_t shards) {
 
   const std::size_t retro = model == CacheModel::kCon ? 4 : 0;
   EngineUnderTest indexed = MakeEngine(
-      corpus, model, EngineConfig{"relevance-index", false, shards, retro});
+      corpus, model, EngineConfig{"relevance-index", shards, retro});
   EngineUnderTest method_m = MakeEngine(
       corpus, model,
-      EngineConfig{"uncached-method-m", false, shards, 0,
-                   /*admission=*/false});
+      EngineConfig{"uncached-method-m", shards, 0, /*admission=*/false});
   ReplayAgainstMethodM(corpus, w, indexed, method_m);
 
   const StatisticsManager is = indexed.gc->CacheStatsSnapshot();
   EXPECT_GT(is.total_admissions, 0u);
   testing::ExpectStoreInvariants(*indexed.gc, indexed.cfg.label);
-  EXPECT_EQ(is.delta_revalidations + is.delta_fallback_full_checks, 0u);
   if (model == CacheModel::kCon) {
     // Repeats found their twin faded and refreshed it in place; the
     // merged bitsets passed the checks above.
     EXPECT_GT(is.total_admission_refreshes, 0u);
+    // The retrospective budget restored faded bits.
+    EXPECT_GT(is.total_retro_refreshes, 0u);
     // Localized churn against block-granular footprints must actually
     // skip entries — the point of the index.
     EXPECT_GT(is.reconcile_entries_skipped, 0u);
@@ -186,29 +179,6 @@ TEST(ReconciliationEquivalenceTest, EviLockSingleShard) {
 TEST(ReconciliationEquivalenceTest, EviLockEightShards) {
   RunReconcileReplay(CacheModel::kEvi, /*shards=*/8);
 }
-
-void RunDeltaReplay() {
-  constexpr std::size_t kSteps = 300;
-  const std::vector<Graph> corpus = ChurnCorpus(8765);
-  const Workload w = GenerateTypeAByName(corpus, "ZU", kSteps, /*seed=*/909,
-                                         /*zipf_alpha=*/1.2);
-
-  // Delta keeps/rewrites bits fading would clear, so its CGvalid state
-  // legitimately differs from a fade-only engine's — but answers must not.
-  EngineUnderTest delta = MakeEngine(
-      corpus, CacheModel::kCon, EngineConfig{"delta,relevance-index", true, 2});
-  EngineUnderTest method_m = MakeEngine(
-      corpus, CacheModel::kCon,
-      EngineConfig{"uncached-method-m", false, 2, 0, /*admission=*/false});
-  ReplayAgainstMethodM(corpus, w, delta, method_m);
-
-  const StatisticsManager is = delta.gc->CacheStatsSnapshot();
-  EXPECT_GT(is.delta_revalidations + is.delta_fallback_full_checks, 0u);
-  EXPECT_GT(is.reconcile_entries_skipped, 0u);
-  testing::ExpectStoreInvariants(*delta.gc, delta.cfg.label);
-}
-
-TEST(DeltaRevalidationEquivalenceTest, LockPath) { RunDeltaReplay(); }
 
 }  // namespace
 }  // namespace gcp

@@ -1,8 +1,8 @@
 // Resident-store invariants for the churn equivalence harnesses. Anything
 // that SETS validity bits outside Algorithm 2 — retrospective refresh,
-// delta re-validation, restore, a drain-time twin refresh — must re-derive
-// the entry's relevance footprint and byte account; these checks catch a
-// path that forgot.
+// restore, a drain-time twin refresh — must re-derive the entry's
+// relevance footprint and byte account; these checks catch a path that
+// forgot.
 
 #ifndef GCP_TESTS_CORE_STORE_INVARIANTS_HPP_
 #define GCP_TESTS_CORE_STORE_INVARIANTS_HPP_
