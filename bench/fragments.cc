@@ -26,7 +26,7 @@
 // dedups and refreshes), the fragment counters (hits, computations,
 // intersections, candidates pruned, admissions/merges/evictions, digest
 // collisions) and the approximate resident byte footprint split
-// (graph/bitset/posting/fragment bytes).
+// (graph/bitset/fragment bytes).
 
 #include <cstdio>
 #include <memory>
@@ -65,7 +65,7 @@ void EmitRow(JsonWriter* json, const char* system, const char* path,
       "\"fragment_admissions\": %llu, \"fragment_merges\": %llu, "
       "\"fragment_evictions\": %llu, \"fragment_digest_collisions\": %llu, "
       "\"approx_graph_bytes\": %llu, \"approx_bitset_bytes\": %llu, "
-      "\"approx_posting_bytes\": %llu, \"approx_fragment_bytes\": %llu",
+      "\"approx_fragment_bytes\": %llu",
       system, path, r.avg_si_tests(), r.avg_query_ms(),
       VerifyThroughputTestsPerSec(r),
       static_cast<unsigned long long>(r.cache_stats.total_admission_dedups),
@@ -85,7 +85,6 @@ void EmitRow(JsonWriter* json, const char* system, const char* path,
           r.cache_stats.fragment_digest_collisions),
       static_cast<unsigned long long>(r.cache_stats.approx_graph_bytes),
       static_cast<unsigned long long>(r.cache_stats.approx_bitset_bytes),
-      static_cast<unsigned long long>(r.cache_stats.approx_posting_bytes),
       static_cast<unsigned long long>(r.cache_stats.approx_fragment_bytes));
   json->Row(buf);
 }

@@ -79,9 +79,8 @@ std::uint64_t Hits(const RunReport& r) {
   return r.agg.exact_hits + r.agg.sub_hits + r.agg.super_hits;
 }
 
-/// The bytes the budget governs: whole-query graphs + bitsets (relevance
-/// postings are bookkeeping, not budgeted; fragments are off in this
-/// bench so their slice stays empty).
+/// The bytes the budget governs: whole-query graphs + bitsets (fragments
+/// are off in this bench so their slice stays empty).
 std::uint64_t ResidentBytes(const RunReport& r) {
   return r.cache_stats.approx_graph_bytes + r.cache_stats.approx_bitset_bytes;
 }

@@ -98,7 +98,6 @@ Result<CacheEntryId> CacheManager::AdmitPrepared(
   const CacheEntryId id = entry->id;
   CachedQuery* raw = entry.get();
   index_.Insert(raw);
-  relevance_.Insert(raw);
   by_id_.emplace(id, raw);
   window_.push_back(std::move(entry));
   AccountAdmit(*raw);
@@ -112,10 +111,7 @@ void CacheManager::RefreshTwin(CacheEntryId id, CachedQuery& offer,
   if (e == nullptr) return;
   CacheValidator::MergeKnowledge(*e, offer);
   e->last_used_at = now;
-  // The merge SETS valid bits (the footprint must stay a superset) and
-  // can widen the bitsets.
-  relevance_.Refresh(e);
-  AccountRefresh(*e);
+  AccountRefresh(*e);  // the merge can widen the bitsets
   ++stats_.total_admission_refreshes;
 }
 
@@ -152,7 +148,6 @@ void CacheManager::MergeWindowIntoCache() {
       } else {
         AccountEvict(*slot);
         index_.Erase(slot->id);
-        relevance_.Erase(slot->id);
         by_id_.erase(slot->id);
         ++stats_.total_evictions;
       }
@@ -186,7 +181,6 @@ void CacheManager::EnforceByteBudget() {
     } else {
       AccountEvict(*slot);
       index_.Erase(slot->id);
-      relevance_.Erase(slot->id);
       by_id_.erase(slot->id);
       ++stats_.total_evictions;
       ++stats_.byte_budget_evictions;
@@ -202,83 +196,27 @@ void CacheManager::Clear() {
   window_.clear();
   by_id_.clear();
   index_.Clear();
-  relevance_.Clear();
   fragments_.Clear();
 }
 
 void CacheManager::PurgeForReconcile() {
   stats_.reconcile_entries_touched += resident();
   stats_.fragment_reconcile_touched += fragments_.size();
-  // An EVI purge touches everything; the post-restore balance holds
-  // trivially (skipped == 0).
-  restore_balance_check_pending_ = false;
   Clear();
 }
 
 void CacheManager::ValidateAll(const ChangeCounters& counters,
                                std::size_t id_horizon) {
   stats_.reconcile_entries_touched += resident();
-  // Brute-force validation touches everything; balance holds trivially.
-  restore_balance_check_pending_ = false;
   for (auto& e : cache_) {
     CacheValidator::RefreshEntry(*e, counters, id_horizon);
-    relevance_.Refresh(e.get());
     AccountRefresh(*e);
   }
   for (auto& e : window_) {
     CacheValidator::RefreshEntry(*e, counters, id_horizon);
-    relevance_.Refresh(e.get());
     AccountRefresh(*e);
   }
   fragments_.ValidateAll(counters, id_horizon, stats_);
-}
-
-void CacheManager::ValidateRelevant(const ChangeCounters& counters,
-                                    std::size_t id_horizon) {
-  // Indicator extension (Algorithm 2 lines 4-6) applies to every resident
-  // entry — new ids default to invalid and no existing bit can flip, so
-  // extension alone never makes an entry "touched".
-  for (auto& e : cache_) {
-    CacheValidator::ExtendEntry(*e, id_horizon);
-    AccountRefresh(*e);
-  }
-  for (auto& e : window_) {
-    CacheValidator::ExtendEntry(*e, id_horizon);
-    AccountRefresh(*e);
-  }
-
-  const RelevanceIndex::BatchFootprint batch =
-      RelevanceIndex::FootprintOf(counters);
-  const std::vector<const CachedQuery*> affected =
-      relevance_.CollectAffected(batch);
-  std::size_t touched = 0;
-  for (const CachedQuery* c : affected) {
-    CachedQuery* e = FindMutable(c->id);
-    if (e == nullptr) continue;  // defensive; affected ids are resident
-    CacheValidator::ApplyCounters(*e, counters);
-    // Re-tightens the footprint after Algorithm 2 cleared bits.
-    relevance_.Refresh(e);
-    ++touched;
-  }
-  if (restore_balance_check_pending_) {
-    // First reconcile over a restored population: the relevance screen
-    // must partition exactly the entries RestoreEntries re-admitted —
-    // every posting resolves to a resident entry and the touched/skipped
-    // split balances. A stale posting (entry restored without its
-    // footprint) would break both.
-    assert(touched == affected.size() &&
-           "post-restore reconcile hit a non-resident posting");
-    assert(touched + (resident() - touched) == resident());
-    restore_balance_check_pending_ = false;
-  }
-  stats_.reconcile_entries_touched += touched;
-  stats_.reconcile_entries_skipped += resident() - touched;
-  fragments_.ValidateRelevant(counters, id_horizon, stats_);
-}
-
-void CacheManager::RefreshRelevanceFootprint(CacheEntryId id) {
-  const CachedQuery* e = Find(id);
-  if (e != nullptr) relevance_.Refresh(e);
 }
 
 void CacheManager::ExtendAll(std::size_t id_horizon) {
@@ -418,20 +356,14 @@ void CacheManager::RestoreEntries(std::vector<CachedQuery> entries) {
           StatisticsManager::StructuralCostEstimateMs(*owned->query);
     }
     index_.Insert(owned.get());
-    relevance_.Insert(owned.get());
     by_id_.emplace(owned->id, owned.get());
     AccountAdmit(*owned);
     cache_.push_back(std::move(owned));
-    // Footprints are rebuilt from the restored bitsets, never carried
-    // over from the file — the relevance screen's superset invariant must
-    // hold for whatever validity state actually landed in the store.
-    RefreshRelevanceFootprint(cache_.back()->id);
   }
   stats_.restored_entries += cache_.size();
   // RANDOM-policy replacement restarts from the configured seed, so a
   // restore is deterministic regardless of pre-restore RNG consumption.
   rng_ = Rng(options_.rng_seed);
-  restore_balance_check_pending_ = true;
 }
 
 std::vector<CacheEntryId> CacheManager::ResidentIdsByBenefit() const {
@@ -457,7 +389,6 @@ ApproxByteFootprint CacheManager::ApproxBytes() const {
   });
   assert(b.graph_bytes + b.bitset_bytes == entry_bytes_ &&
          "entry byte gauge drifted from recompute");
-  b.posting_bytes = relevance_.ApproxBytes();
   b.fragment_bytes = fragments_.ApproxBytes();
   return b;
 }

@@ -28,7 +28,6 @@
 #include "cache/cache_validator.hpp"
 #include "cache/fragment_store.hpp"
 #include "cache/query_index.hpp"
-#include "cache/relevance_index.hpp"
 #include "cache/replacement.hpp"
 #include "cache/statistics.hpp"
 #include "common/status.hpp"
@@ -113,8 +112,8 @@ class CacheManager {
   /// isomorphic offer instead of admitting the offer beside it
   /// (CacheValidator::MergeKnowledge — the offer must be reconciled to
   /// this store's watermark), marks it used at `now`, and re-derives its
-  /// relevance footprint and byte account. Counts one
-  /// total_admission_refreshes; no-op for non-resident ids.
+  /// byte account. Counts one total_admission_refreshes; no-op for
+  /// non-resident ids.
   void RefreshTwin(CacheEntryId id, CachedQuery& offer, std::uint64_t now);
 
   /// Runs the window→cache merge iff the window reached capacity — the
@@ -130,24 +129,10 @@ class CacheManager {
   /// loading never pollutes the reconciliation counters.
   void PurgeForReconcile();
 
-  /// CON validation: applies Algorithm 2 to every resident entry — the
-  /// brute-force reference ValidateRelevant is tested against. Every
-  /// resident entry counts as touched; skipped stays 0.
+  /// CON reconciliation (paper §5.2): applies Algorithm 2 to every
+  /// resident entry, then to the fragment store. Every resident entry
+  /// counts as touched.
   void ValidateAll(const ChangeCounters& counters, std::size_t id_horizon);
-
-  /// CON validation through the change-relevance index: extends every
-  /// resident indicator to `id_horizon`, then runs Algorithm 2's counter
-  /// loop only over entries whose footprint intersects the batch —
-  /// bit-exact vs ValidateAll by construction (the screen only skips
-  /// entries no counter can mutate). Touched/skipped accounting per
-  /// call: touched + skipped == resident.
-  void ValidateRelevant(const ChangeCounters& counters,
-                        std::size_t id_horizon);
-
-  /// Recomputes `id`'s relevance footprint from its current bitsets.
-  /// Must be called after any path that SETS validity bits outside the
-  /// validator (retrospective refresh §8) so footprints stay supersets.
-  void RefreshRelevanceFootprint(CacheEntryId id);
 
   /// Aligns every resident indicator/answer to `id_horizon` without
   /// consuming counters (used when only ADDs happened — subsumed by
@@ -201,12 +186,9 @@ class CacheManager {
   /// Feature index over all resident entries.
   const QueryIndex& index() const { return index_; }
 
-  /// Change-relevance index over all resident entries.
-  const RelevanceIndex& relevance_index() const { return relevance_; }
-
   /// Embedded one-hop fragment store. Shares this store's lock discipline
-  /// and reconcile point; Clear/PurgeForReconcile/ValidateAll/
-  /// ValidateRelevant cover it automatically.
+  /// and reconcile point; Clear/PurgeForReconcile/ValidateAll cover it
+  /// automatically.
   FragmentStore& fragments() { return fragments_; }
   const FragmentStore& fragments() const { return fragments_; }
 
@@ -263,18 +245,9 @@ class CacheManager {
 
   /// Replaces the resident contents with `entries` (fresh ids are
   /// assigned; at most cache_capacity entries are kept, best R first; all
-  /// land in the cache store). Used when restoring a snapshot. Relevance
-  /// footprints are rebuilt from the restored bitsets, the replacement RNG
-  /// is re-seeded, and the first reconcile after the restore re-checks the
-  /// touched + skipped == resident balance over the restored population.
+  /// land in the cache store). Used when restoring a snapshot. The
+  /// replacement RNG is re-seeded.
   void RestoreEntries(std::vector<CachedQuery> entries);
-
-  /// True between a RestoreEntries call and the first reconcile after it —
-  /// exposed so restart tests can confirm the post-restore balance check
-  /// actually ran.
-  bool restore_balance_check_pending() const {
-    return restore_balance_check_pending_;
-  }
 
  private:
   /// Sets `e.approx_bytes` from ApproxEntryBytes and adds it to the
@@ -300,7 +273,6 @@ class CacheManager {
   /// Find/FindMutable on the per-hit RecordBenefit path.
   std::unordered_map<CacheEntryId, CachedQuery*> by_id_;
   QueryIndex index_;
-  RelevanceIndex relevance_;
   FragmentStore fragments_;
   StatisticsManager stats_;
   Rng rng_;
@@ -312,10 +284,6 @@ class CacheManager {
   /// carve-out); 0 when the budget is off.
   std::uint64_t entry_byte_budget_ = 0;
   ReplacementPolicy last_effective_ = ReplacementPolicy::kHybrid;
-  /// Armed by RestoreEntries, consumed by the next reconcile: the first
-  /// post-restore drain re-verifies that the relevance screen's
-  /// touched/skipped split covers exactly the restored population.
-  bool restore_balance_check_pending_ = false;
 };
 
 }  // namespace gcp

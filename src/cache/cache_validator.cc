@@ -15,8 +15,10 @@ void CacheValidator::ExtendEntry(CachedQuery& entry, std::size_t id_horizon) {
   }
 }
 
-void CacheValidator::ApplyCounters(CachedQuery& entry,
-                                   const ChangeCounters& counters) {
+void CacheValidator::RefreshEntry(CachedQuery& entry,
+                                  const ChangeCounters& counters,
+                                  std::size_t id_horizon) {
+  ExtendEntry(entry, id_horizon);
   // Lines 7-19: apply the counters to the touched graphs only.
   //
   // The polarity of the UA/UR optimisations depends on the entry's query
@@ -55,13 +57,6 @@ void CacheValidator::MergeKnowledge(CachedQuery& resident,
   resident.answer.AndNotWith(offer.valid);
   resident.answer.OrWith(DynamicBitset::And(offer.answer, offer.valid));
   resident.valid.OrWith(offer.valid);
-}
-
-void CacheValidator::RefreshEntry(CachedQuery& entry,
-                                  const ChangeCounters& counters,
-                                  std::size_t id_horizon) {
-  ExtendEntry(entry, id_horizon);
-  ApplyCounters(entry, counters);
 }
 
 }  // namespace gcp

@@ -12,10 +12,9 @@
 // Newly added dataset graphs appear as indicator extension with bits
 // defaulting to false (relation unknown).
 //
-// The algorithm splits into ExtendEntry (indicator extension, lines 4-6)
-// and ApplyCounters (the per-touched-graph loop, lines 7-19) so the
-// change-relevance index can extend every resident indicator while
-// running the counter loop only over entries the batch can affect.
+// The stores' ValidateAll runs RefreshEntry over every resident entry on
+// each CON reconcile: a CGvalid indicator spans the whole corpus, so no
+// resident can be ruled out of a batch up front.
 
 #ifndef GCP_CACHE_CACHE_VALIDATOR_HPP_
 #define GCP_CACHE_CACHE_VALIDATOR_HPP_
@@ -40,17 +39,12 @@ class CacheValidator {
   /// false bits. Never flips an existing bit.
   static void ExtendEntry(CachedQuery& entry, std::size_t id_horizon);
 
-  /// Lines 7-19 alone: applies the counters to the touched graphs.
-  static void ApplyCounters(CachedQuery& entry,
-                            const ChangeCounters& counters);
-
   /// Folds a freshly computed twin's knowledge into the resident entry:
   /// both are extended to the wider horizon, the offer's answer
   /// overwrites the range it is valid for, and the valid sets union.
   /// Exact only when both sides are reconciled to the same watermark —
-  /// they then agree wherever both are valid. Can SET valid bits, so the
-  /// owning store must refresh the resident's relevance footprint and
-  /// byte account afterwards.
+  /// they then agree wherever both are valid. Can widen the bitsets, so
+  /// the owning store must refresh the resident's byte account afterwards.
   static void MergeKnowledge(CachedQuery& resident, CachedQuery& offer);
 };
 

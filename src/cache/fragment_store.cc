@@ -40,9 +40,7 @@ Status FragmentStore::AdmitOrMerge(std::unique_ptr<CachedQuery> entry,
     CacheValidator::MergeKnowledge(resident, *entry);
     resident.last_used_at = now;
     ++stats.fragment_merges;
-    // The merge can SET valid bits — the footprint must be recomputed to
-    // stay a superset — and can grow the bitsets past the byte slice.
-    relevance_.Refresh(&resident);
+    // The merge can grow the bitsets past the byte slice.
     AccountRefresh(resident);
     EvictOverCapacity(stats);
     return Status::OK();
@@ -58,7 +56,6 @@ Status FragmentStore::AdmitOrMerge(std::unique_ptr<CachedQuery> entry,
   entry->in_window = false;
   CachedQuery* raw = entry.get();
   by_digest_.emplace(entry->digest, std::move(entry));
-  relevance_.Insert(raw);
   AccountAdmit(*raw);
   ++stats.fragment_admissions;
   EvictOverCapacity(stats);
@@ -77,7 +74,6 @@ void FragmentStore::Credit(std::uint64_t digest, std::uint64_t pruned,
 void FragmentStore::Clear() {
   entry_bytes_ = 0;
   by_digest_.clear();
-  relevance_.Clear();
 }
 
 void FragmentStore::ValidateAll(const ChangeCounters& counters,
@@ -86,30 +82,8 @@ void FragmentStore::ValidateAll(const ChangeCounters& counters,
   stats.fragment_reconcile_touched += by_digest_.size();
   for (auto& [digest, e] : by_digest_) {
     CacheValidator::RefreshEntry(*e, counters, id_horizon);
-    relevance_.Refresh(e.get());
     AccountRefresh(*e);
   }
-}
-
-void FragmentStore::ValidateRelevant(const ChangeCounters& counters,
-                                     std::size_t id_horizon,
-                                     StatisticsManager& stats) {
-  for (auto& [digest, e] : by_digest_) {
-    CacheValidator::ExtendEntry(*e, id_horizon);
-    AccountRefresh(*e);
-  }
-  const RelevanceIndex::BatchFootprint batch =
-      RelevanceIndex::FootprintOf(counters);
-  std::uint64_t touched = 0;
-  for (const CachedQuery* affected : relevance_.CollectAffected(batch)) {
-    CachedQuery* e = FindMutable(affected->digest);
-    if (e == nullptr) continue;
-    CacheValidator::ApplyCounters(*e, counters);
-    relevance_.Refresh(e);
-    ++touched;
-  }
-  stats.fragment_reconcile_touched += touched;
-  stats.fragment_reconcile_skipped += by_digest_.size() - touched;
 }
 
 void FragmentStore::PurgeForReconcile(StatisticsManager& stats) {
@@ -190,7 +164,6 @@ void FragmentStore::Restore(std::vector<CachedQuery> entries,
     owned->in_window = false;
     CachedQuery* raw = owned.get();
     by_digest_.emplace(owned->digest, std::move(owned));
-    relevance_.Insert(raw);
     AccountAdmit(*raw);
     ++stats.restored_fragments;
   }
@@ -204,7 +177,7 @@ std::uint64_t FragmentStore::ApproxBytes() const {
   }
   assert(bytes == entry_bytes_ &&
          "fragment byte gauge drifted from recompute");
-  return bytes + relevance_.ApproxBytes();
+  return bytes;
 }
 
 void FragmentStore::AccountAdmit(CachedQuery& e) {
@@ -231,7 +204,6 @@ void FragmentStore::EvictOverCapacity(StatisticsManager& stats) {
       if (it->second->last_used_at < victim->second->last_used_at) victim = it;
     }
     AccountEvict(*victim->second);
-    relevance_.Erase(victim->second->id);
     by_digest_.erase(victim);
     ++stats.fragment_evictions;
   }
@@ -256,7 +228,6 @@ void FragmentStore::EvictOverCapacity(StatisticsManager& stats) {
       }
     }
     AccountEvict(*victim->second);
-    relevance_.Erase(victim->second->id);
     by_digest_.erase(victim);
     ++stats.fragment_evictions;
     ++stats.fragment_byte_evictions;

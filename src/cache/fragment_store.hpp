@@ -3,9 +3,9 @@
 // Each resident fragment is a full CachedQuery (kind kSubgraph, query =
 // the canonical star from match/fragments, answer = dataset graphs known
 // to contain the star, valid = Algorithm 2's indicator), so consistency
-// reuses the Cache Validator verbatim: CON reconciles fragments with
-// RefreshEntry, EVI purges them, and the store keeps its own
-// change-relevance index so relevance-screened drains extend to fragments.
+// reuses the Cache Validator verbatim: CON reconciles every fragment with
+// RefreshEntry (ValidateAll, the store's one reconcile path) and EVI
+// purges them.
 // Unlike whole-query entries, fragments never produce answers directly —
 // their valid-negative sets (valid ∧ ¬answer) only *shrink* Method M
 // candidate sets, so a stale or missing fragment is a lost pruning
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "cache/cache_entry.hpp"
-#include "cache/relevance_index.hpp"
 #include "cache/statistics.hpp"
 #include "common/status.hpp"
 #include "dataset/log_analyzer.hpp"
@@ -78,16 +77,10 @@ class FragmentStore {
   /// Drops every fragment (EVI purge / restore preamble).
   void Clear();
 
-  /// CON reconciliation, brute force: Algorithm 2 over every fragment —
-  /// the reference ValidateRelevant is tested against.
+  /// CON reconciliation: Algorithm 2 over every fragment, each counted
+  /// as touched.
   void ValidateAll(const ChangeCounters& counters, std::size_t id_horizon,
                    StatisticsManager& stats);
-
-  /// CON reconciliation through this store's own relevance index —
-  /// bit-exact vs ValidateAll for the same reason the entry path is: the
-  /// screen only skips fragments no counter can mutate.
-  void ValidateRelevant(const ChangeCounters& counters, std::size_t id_horizon,
-                        StatisticsManager& stats);
 
   /// EVI reconcile purge: every fragment counts as touched, then Clear().
   void PurgeForReconcile(StatisticsManager& stats);
@@ -102,8 +95,8 @@ class FragmentStore {
   /// restored graphs, so a tampered payload cannot plant a mismatched key.
   void Restore(std::vector<CachedQuery> entries, StatisticsManager& stats);
 
-  /// Graphs + bitsets + relevance postings of everything resident — the
-  /// fragment_bytes category of ApproxByteFootprint.
+  /// Graphs + bitsets of everything resident — the fragment_bytes
+  /// category of ApproxByteFootprint.
   std::uint64_t ApproxBytes() const;
 
   std::size_t size() const { return by_digest_.size(); }
@@ -141,8 +134,7 @@ class FragmentStore {
   /// digest → entry; ordered so iteration (export, eviction scans) is
   /// deterministic across runs and shard counts.
   std::map<std::uint64_t, std::unique_ptr<CachedQuery>> by_digest_;
-  /// Own relevance index + id space, disjoint from the entry store's.
-  RelevanceIndex relevance_;
+  /// Own id space, disjoint from the entry store's.
   CacheEntryId next_id_ = 1;
 };
 

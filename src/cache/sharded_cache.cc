@@ -153,7 +153,6 @@ StatisticsManager ShardedCache::AggregateStats() const {
     sum.fragment_hits += st.fragment_hits;
     sum.fragment_candidates_pruned += st.fragment_candidates_pruned;
     sum.fragment_reconcile_touched += st.fragment_reconcile_touched;
-    sum.fragment_reconcile_skipped += st.fragment_reconcile_skipped;
     sum.restored_fragments += st.restored_fragments;
     sum.byte_budget_evictions += st.byte_budget_evictions;
     sum.fragment_byte_evictions += st.fragment_byte_evictions;
@@ -165,7 +164,6 @@ StatisticsManager ShardedCache::AggregateStats() const {
     const ApproxByteFootprint bytes = s->store.ApproxBytes();
     sum.approx_graph_bytes += bytes.graph_bytes;
     sum.approx_bitset_bytes += bytes.bitset_bytes;
-    sum.approx_posting_bytes += bytes.posting_bytes;
     sum.approx_fragment_bytes += bytes.fragment_bytes;
   }
   return sum;

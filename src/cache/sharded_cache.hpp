@@ -3,9 +3,9 @@
 //
 // PR 2/3 serialized every maintenance drain under the engine's single
 // shared_mutex: one admission batch stalled every reader. The paper's
-// window/cache split does not require that coupling — reconciliation only
-// touches the entries affected by a change — so the stores are partitioned
-// by WL-digest: an entry lives in shard digest % N for its whole lifetime,
+// window/cache split does not require that coupling — a drain admits into
+// and credits only the entries of the queries it carries — so the stores
+// are partitioned by WL-digest: an entry lives in shard digest % N for its whole lifetime,
 // together with its slice of the QueryIndex inverted postings, the
 // statistics counters and the replacement state. Each shard carries its
 // own std::shared_mutex, so a maintenance drain on shard k (shard-k

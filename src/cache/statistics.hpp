@@ -97,18 +97,18 @@ class StatisticsManager {
   /// Entries re-admitted into the stores by snapshot/checkpoint restores.
   std::uint64_t restored_entries = 0;
 
-  // --- Reconciliation counters (change-relevance index). Per reconcile
-  // event, touched + skipped == resident. --------------------------------
-  /// Resident entries Algorithm 2 actually ran over during CON
-  /// reconciliation (or purged by an EVI reconcile).
+  // --- Reconciliation counters. Every reconcile touches every resident
+  // entry: CON runs Algorithm 2 over each, EVI purges them all. ---------
+  /// Resident entries Algorithm 2 ran over during CON reconciliation (or
+  /// purged by an EVI reconcile).
   std::uint64_t reconcile_entries_touched = 0;
-  /// Resident entries the relevance index proved unaffected by the change
-  /// batch — their CGvalid bits were left untouched by construction.
+  /// Always 0: no reconcile skips a resident entry. Kept because the
+  /// end-to-end benchmark reports it.
   std::uint64_t reconcile_entries_skipped = 0;
 
   // --- Fragment-cache counters (one-hop sub-pattern store). Reconcile
-  // accounting is kept separate from the entry counters above so the
-  // touched + skipped == resident balance over *entries* stays exact. ----
+  // accounting is kept separate from the entry counters above, so
+  // reconcile_entries_touched counts whole-query entries only. ----------
   /// Fragment entries admitted fresh into a fragment store.
   std::uint64_t fragment_admissions = 0;
   /// Offers merged into an already-resident fragment (valid/answer union).
@@ -125,8 +125,6 @@ class StatisticsManager {
   std::uint64_t fragment_candidates_pruned = 0;
   /// Fragment entries a reconcile ran Algorithm 2 over (or EVI-purged).
   std::uint64_t fragment_reconcile_touched = 0;
-  /// Fragment entries the relevance screen proved unaffected.
-  std::uint64_t fragment_reconcile_skipped = 0;
   /// Fragment entries re-admitted by snapshot/checkpoint restores.
   std::uint64_t restored_fragments = 0;
 
@@ -169,10 +167,10 @@ class StatisticsManager {
   std::uint64_t approx_graph_bytes = 0;
   /// Answer + valid indicator words of resident whole-query entries.
   std::uint64_t approx_bitset_bytes = 0;
-  /// Relevance-index footprints + postings over whole-query entries.
+  /// Always 0: no store keeps a change-relevance index. Kept because the
+  /// end-to-end benchmark reports it.
   std::uint64_t approx_posting_bytes = 0;
-  /// Everything resident in the fragment store (graphs + bitsets +
-  /// postings).
+  /// Everything resident in the fragment store (graphs + bitsets).
   std::uint64_t approx_fragment_bytes = 0;
 };
 
@@ -181,7 +179,6 @@ class StatisticsManager {
 struct ApproxByteFootprint {
   std::uint64_t graph_bytes = 0;
   std::uint64_t bitset_bytes = 0;
-  std::uint64_t posting_bytes = 0;
   std::uint64_t fragment_bytes = 0;
 };
 
@@ -195,11 +192,9 @@ inline std::uint64_t ApproxGraphBytes(const Graph& g) {
 }
 
 /// Per-entry byte footprint the byte budget accounts against: the CSR
-/// query graph plus the answer/valid indicator words. (Relevance postings
-/// are store-level and excluded — they are bounded by the entry count and
-/// small next to graphs and bitsets.) The stores maintain this
-/// incrementally in `CachedQuery::approx_bytes` and assert the running
-/// sum against a from-scratch recompute.
+/// query graph plus the answer/valid indicator words. The stores maintain
+/// this incrementally in `CachedQuery::approx_bytes` and assert the
+/// running sum against a from-scratch recompute.
 inline std::uint64_t ApproxEntryBytes(const CachedQuery& e) {
   return ApproxGraphBytes(*e.query) +
          8 * static_cast<std::uint64_t>(e.answer.num_words() +

@@ -125,11 +125,7 @@ class DynamicBitset {
     }
   }
 
-  /// Read-only view of the backing words: bit i lives in word i/64 at
-  /// position i%64, and tail padding beyond size() is guaranteed zero.
-  /// Lets word-granular summaries (the change-relevance index) scan in
-  /// O(words) instead of O(bits).
-  const std::uint64_t* words() const { return words_.data(); }
+  /// Number of 64-bit backing words (bit i lives in word i/64).
   std::size_t num_words() const { return words_.size(); }
 
   /// Indices of all set bits, ascending.

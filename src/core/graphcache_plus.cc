@@ -106,12 +106,12 @@ void GraphCachePlus::SyncWithDatasetLocked(QueryMetrics* metrics) {
       }
     } else {
       // CON: Algorithm 1 over the incremental records, then Algorithm 2
-      // through each shard's relevance screen (paper §5.2).
+      // over every resident entry of each shard (paper §5.2).
       const std::vector<ChangeRecord> records = log.ExtractSince(watermark_);
       const ChangeCounters counters = LogAnalyzer::Analyze(records);
       const std::size_t horizon = dataset_->IdHorizon();
       for (std::size_t s = 0; s < cache_.num_shards(); ++s) {
-        cache_.shard(s).ValidateRelevant(counters, horizon);
+        cache_.shard(s).ValidateAll(counters, horizon);
       }
       if (options_.retrospective_budget > 0) {
         std::size_t budget = options_.retrospective_budget;
@@ -590,7 +590,6 @@ void GraphCachePlus::RetrospectiveRefreshShard(std::size_t s,
     // Unknown pairs: live graphs whose validity bit is off.
     DynamicBitset unknown = DynamicBitset::Not(e->valid);
     unknown.AndWith(live);
-    bool restored_any = false;
     for (std::size_t i = unknown.FindFirst();
          i != DynamicBitset::npos && *budget > 0;
          i = unknown.FindNext(i + 1)) {
@@ -600,13 +599,9 @@ void GraphCachePlus::RetrospectiveRefreshShard(std::size_t s,
                                  : verifier.Contains(g, *e->query);
       e->answer.Set(i, contained);
       e->valid.Set(i, true);
-      restored_any = true;
       --*budget;
       ++shard.stats().total_retro_refreshes;
     }
-    // Bits were SET outside the validator — re-widen the entry's
-    // relevance footprint so it stays a superset of the valid words.
-    if (restored_any) shard.RefreshRelevanceFootprint(id);
   }
 }
 

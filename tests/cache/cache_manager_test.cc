@@ -86,23 +86,36 @@ TEST(CacheManagerTest, ClearPurgesEverything) {
 TEST(CacheManagerTest, ValidateAllTouchesCacheAndWindow) {
   CacheManager cm(SmallOptions(4, 3));
   // Two entries with answer bit 0 set; one merged into cache, one in window.
-  DynamicBitset answer(2);
+  DynamicBitset answer(4);
   answer.Set(0);
   cm.Admit(MakePath({0, 0}), CachedQueryKind::kSubgraph, answer,
-           DynamicBitset(2, true), 0, 1.0);
+           DynamicBitset(4, true), 0, 1.0);
   cm.MergeWindowIntoCache();
   cm.Admit(MakePath({1, 1}), CachedQueryKind::kSubgraph, answer,
-           DynamicBitset(2, true), 1, 1.0);
+           DynamicBitset(4, true), 1, 1.0);
   ASSERT_EQ(cm.cache_size(), 1u);
   ASSERT_EQ(cm.window_size(), 1u);
 
   ChangeLog log;
   log.Append(ChangeType::kEdgeRemove, 0);  // invalidates positive results
-  cm.ValidateAll(LogAnalyzer::Analyze(log.ExtractSince(0)), 2);
+  cm.ValidateAll(LogAnalyzer::Analyze(log.ExtractSince(0)), 4);
   cm.ForEachEntry([](const CachedQuery& e) {
     EXPECT_FALSE(e.valid.Test(0));
-    EXPECT_TRUE(e.valid.Test(1));
+    for (std::size_t i = 1; i < 4; ++i) EXPECT_TRUE(e.valid.Test(i));
   });
+  EXPECT_EQ(cm.stats().reconcile_entries_touched, 2u);
+
+  // A batch that touches no graph still widens every indicator to the new
+  // horizon; the new ids are unknown, hence invalid.
+  cm.ValidateAll(ChangeCounters{}, 10);
+  cm.ForEachEntry([](const CachedQuery& e) {
+    EXPECT_EQ(e.valid.size(), 10u);
+    EXPECT_EQ(e.answer.size(), 10u);
+    EXPECT_FALSE(e.valid.Test(0));
+    for (std::size_t i = 1; i < 4; ++i) EXPECT_TRUE(e.valid.Test(i));
+    for (std::size_t i = 4; i < 10; ++i) EXPECT_FALSE(e.valid.Test(i));
+  });
+  EXPECT_EQ(cm.stats().reconcile_entries_touched, 4u);
 }
 
 TEST(CacheManagerTest, ExtendAllAlignsHorizon) {

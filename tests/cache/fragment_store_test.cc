@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "../test_util.hpp"
@@ -127,30 +129,29 @@ TEST(FragmentStoreTest, CreditBumpsRecencyAndEvictionPicksColdest) {
   EXPECT_EQ(store.Probe(db, lb), nullptr);  // coldest: evicted
 }
 
-TEST(FragmentStoreTest, ValidateRelevantMatchesValidateAll) {
-  // Same content in two stores; a change batch touching graphs 2 (mixed
-  // ops) and 5 (UA-only) must leave identical valid/answer bits whether
-  // reconciled brute-force or through the relevance screen.
-  FragmentStore all(8);
-  FragmentStore relevant(8);
-  StatisticsManager stats_all;
-  StatisticsManager stats_rel;
+TEST(FragmentStoreTest, ValidateAllAppliesAlgorithm2) {
+  // A change batch touching graphs 2 (mixed ops) and 5 (UA-only): graph 2
+  // loses its valid bit everywhere; graph 5 keeps it only where the star
+  // is contained (edge additions cannot break a containment).
+  FragmentStore store(8);
+  StatisticsManager stats;
   struct Spec {
     Label center;
     std::vector<Label> leaves;
     std::vector<std::size_t> answer;
     std::vector<std::size_t> valid;
+    std::vector<std::size_t> want_valid;
   };
   const std::vector<Spec> specs = {
-      {1, {2}, {0, 2}, {0, 1, 2, 5}},
-      {3, {4, 4}, {5}, {2, 3, 5}},
-      {6, {1, 2, 3}, {}, {0, 1, 2, 3, 4, 5, 6, 7}},
+      {1, {2}, {0, 2}, {0, 1, 2, 5}, {0, 1}},
+      {3, {4, 4}, {5}, {2, 3, 5}, {3, 5}},
+      {6, {1, 2, 3}, {}, {0, 1, 2, 3, 4, 5, 6, 7}, {0, 1, 3, 4, 6, 7}},
   };
+  std::vector<std::pair<std::uint64_t, std::vector<Label>>> keys;
   for (const Spec& s : specs) {
-    all.AdmitOrMerge(MakeFragEntry(s.center, s.leaves, s.answer, s.valid), 1,
-                     stats_all);
-    relevant.AdmitOrMerge(MakeFragEntry(s.center, s.leaves, s.answer, s.valid),
-                          1, stats_rel);
+    auto entry = MakeFragEntry(s.center, s.leaves, s.answer, s.valid);
+    keys.emplace_back(entry->digest, entry->query->labels());
+    store.AdmitOrMerge(std::move(entry), 1, stats);
   }
   ChangeCounters counters;
   counters.total[2] = 2;
@@ -158,29 +159,21 @@ TEST(FragmentStoreTest, ValidateRelevantMatchesValidateAll) {
   counters.edge_removes[2] = 1;
   counters.total[5] = 1;
   counters.edge_adds[5] = 1;
-  all.ValidateAll(counters, kHorizon, stats_all);
-  relevant.ValidateRelevant(counters, kHorizon, stats_rel);
+  store.ValidateAll(counters, kHorizon, stats);
 
-  std::vector<std::pair<DynamicBitset, DynamicBitset>> got_all;
-  std::vector<std::pair<DynamicBitset, DynamicBitset>> got_rel;
-  all.ForEach([&got_all](const CachedQuery& e) {
-    got_all.emplace_back(e.valid, e.answer);
-  });
-  relevant.ForEach([&got_rel](const CachedQuery& e) {
-    got_rel.emplace_back(e.valid, e.answer);
-  });
-  ASSERT_EQ(got_all.size(), got_rel.size());
-  for (std::size_t i = 0; i < got_all.size(); ++i) {
-    EXPECT_TRUE(got_all[i].first == got_rel[i].first);
-    EXPECT_TRUE(got_all[i].second == got_rel[i].second);
+  for (std::size_t k = 0; k < specs.size(); ++k) {
+    const CachedQuery* e = store.Probe(keys[k].first, keys[k].second);
+    ASSERT_NE(e, nullptr) << "star " << k;
+    for (std::size_t i = 0; i < kHorizon; ++i) {
+      EXPECT_EQ(e->valid.Test(i),
+                std::ranges::count(specs[k].want_valid, i) == 1)
+          << "star " << k << " valid bit " << i;
+      // Algorithm 2 never rewrites an answer bit.
+      EXPECT_EQ(e->answer.Test(i), std::ranges::count(specs[k].answer, i) == 1)
+          << "star " << k << " answer bit " << i;
+    }
   }
-  // Reconcile accounting: brute force touches everything; the screen's
-  // touched + skipped partitions the store.
-  EXPECT_EQ(stats_all.fragment_reconcile_touched, specs.size());
-  EXPECT_EQ(stats_all.fragment_reconcile_skipped, 0u);
-  EXPECT_EQ(stats_rel.fragment_reconcile_touched +
-                stats_rel.fragment_reconcile_skipped,
-            specs.size());
+  EXPECT_EQ(stats.fragment_reconcile_touched, 3u);
 }
 
 TEST(FragmentStoreTest, PurgeForReconcileCountsAndClears) {

@@ -343,7 +343,7 @@ TEST(CrashMatrixTest, DoubleRestartIsStableAndSeqsAdvance) {
   EXPECT_GT(report.entries, 0u);
 }
 
-TEST(CrashMatrixTest, PostRestoreReconcileBalancesTouchedPlusSkipped) {
+TEST(CrashMatrixTest, PostRestoreReconcileTouchesEveryRestoredEntry) {
   const std::string dir = FreshDir("crash_balance");
   SeedRun(dir, nullptr);
   GraphDataset ds;
@@ -364,17 +364,14 @@ TEST(CrashMatrixTest, PostRestoreReconcileBalancesTouchedPlusSkipped) {
   ASSERT_GT(resident, 0u);
   EXPECT_LE(resident, report.entries);
   // One change batch + one query forces the first post-restore reconcile
-  // across every shard; its touched/skipped tallies must account for the
-  // full restored population (the first-drain balance assert fires
-  // inside the stores under sanitizer builds).
+  // across every shard; Algorithm 2 must run over exactly the restored
+  // population.
   ds.AddGraph(MakeSingleton(1));
   (void)gc.SubgraphQuery(MakePath({0, 1}));
   const StatisticsManager after = gc.CacheStatsSnapshot();
-  const std::uint64_t touched =
-      after.reconcile_entries_touched - before.reconcile_entries_touched;
-  const std::uint64_t skipped =
-      after.reconcile_entries_skipped - before.reconcile_entries_skipped;
-  EXPECT_EQ(touched + skipped, resident);
+  EXPECT_EQ(after.reconcile_entries_touched - before.reconcile_entries_touched,
+            resident);
+  EXPECT_EQ(after.reconcile_entries_skipped, 0u);
 }
 
 TEST(CrashMatrixTest, WarmRestartUnderByteBudgetKeepsWhatFits) {
@@ -406,7 +403,7 @@ TEST(CrashMatrixTest, WarmRestartUnderByteBudgetKeepsWhatFits) {
   // what the full restore holds, so at least one shard must drop.
   opts.byte_budget = full_bytes / 2;
   // No admissions after restart: the resident population stays exactly
-  // the restored survivors, pinning the first-drain balance below.
+  // the restored survivors, pinning the first-drain count below.
   opts.enable_admission = false;
   GraphCachePlus gc(&ds, opts);
   GraphCachePlus::WarmRestartReport report;
@@ -433,17 +430,15 @@ TEST(CrashMatrixTest, WarmRestartUnderByteBudgetKeepsWhatFits) {
   // A budget-trimmed warm cache still answers bit-exactly.
   EXPECT_EQ(RunQueries(gc), oracle);
   gc.FlushMaintenance();
-  // First post-restore reconcile accounts for the full trimmed
-  // population: touched + skipped == resident.
+  // The first post-restore reconcile runs over the full trimmed
+  // population.
   const StatisticsManager pre_drain = gc.CacheStatsSnapshot();
   ds.AddGraph(MakeSingleton(1));
   (void)gc.SubgraphQuery(MakePath({0, 1}));
   const StatisticsManager after = gc.CacheStatsSnapshot();
-  const std::uint64_t touched =
-      after.reconcile_entries_touched - pre_drain.reconcile_entries_touched;
-  const std::uint64_t skipped =
-      after.reconcile_entries_skipped - pre_drain.reconcile_entries_skipped;
-  EXPECT_EQ(touched + skipped, resident);
+  EXPECT_EQ(
+      after.reconcile_entries_touched - pre_drain.reconcile_entries_touched,
+      resident);
 }
 
 }  // namespace

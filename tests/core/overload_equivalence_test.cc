@@ -168,7 +168,6 @@ void RunBudgetReplay(CacheModel model, std::size_t shards) {
   EXPECT_EQ(huges.total_sub_hits, offs.total_sub_hits);
   EXPECT_EQ(huges.total_super_hits, offs.total_super_hits);
   EXPECT_EQ(huges.reconcile_entries_touched, offs.reconcile_entries_touched);
-  EXPECT_EQ(huges.reconcile_entries_skipped, offs.reconcile_entries_skipped);
   EXPECT_EQ(huges.fragment_admissions, offs.fragment_admissions);
   EXPECT_EQ(huges.fragment_evictions, offs.fragment_evictions);
   // Identical resident state ⇒ identical byte gauges.

@@ -11,7 +11,7 @@
 // identical schedules must give identical answers at every shard count.
 // Under CON the churn fades twins that repeats then refresh in place
 // (asserted to happen in every configuration); the merged bitsets must
-// keep relevance footprints supersets and byte gauges exact.
+// keep byte gauges exact.
 
 #include <gtest/gtest.h>
 

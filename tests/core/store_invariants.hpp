@@ -1,8 +1,7 @@
-// Resident-store invariants for the churn equivalence harnesses. Anything
-// that SETS validity bits outside Algorithm 2 — retrospective refresh,
-// restore, a drain-time twin refresh — must re-derive the entry's
-// relevance footprint and byte account; these checks catch a path that
-// forgot.
+// Resident-store byte-account invariants for the churn equivalence
+// harnesses. Anything that resizes an entry's bitsets — Algorithm 2's
+// indicator extension, restore, a drain-time twin refresh — must re-derive
+// its byte account; these checks catch a path that forgot.
 
 #ifndef GCP_TESTS_CORE_STORE_INVARIANTS_HPP_
 #define GCP_TESTS_CORE_STORE_INVARIANTS_HPP_
@@ -11,22 +10,14 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "core/graphcache_plus.hpp"
 
 namespace gcp::testing {
 
-inline bool HasBlock(const std::vector<std::uint64_t>& mask,
-                     std::size_t block) {
-  const std::size_t word = block >> 6;
-  return word < mask.size() && ((mask[word] >> (block & 63)) & 1) != 0;
-}
-
-/// Per shard: every resident entry's relevance footprint covers each
-/// valid word of its indicator with the right polarity (the screen may
-/// skip only entries Algorithm 2 cannot mutate), and the whole-query and
-/// fragment byte gauges equal a recompute from the resident bitsets.
+/// Per shard: every resident entry's recorded byte count, and the
+/// whole-query and fragment byte gauges, equal a recompute from the
+/// resident graphs and bitsets.
 inline void ExpectStoreInvariants(const GraphCachePlus& gc,
                                   const std::string& label) {
   const ShardedCache& cache = gc.cache_shards();
@@ -38,22 +29,6 @@ inline void ExpectStoreInvariants(const GraphCachePlus& gc,
       entry_bytes += ApproxEntryBytes(e);
       EXPECT_EQ(e.approx_bytes, ApproxEntryBytes(e))
           << label << " shard " << s << " entry " << e.id;
-      const RelevanceIndex::Footprint* fp =
-          shard.relevance_index().footprint(e.id);
-      ASSERT_NE(fp, nullptr) << label << " entry " << e.id << " unindexed";
-      for (std::size_t w = 0; w < e.valid.num_words(); ++w) {
-        const std::uint64_t valid = e.valid.words()[w];
-        const std::uint64_t answer =
-            w < e.answer.num_words() ? e.answer.words()[w] : 0;
-        if ((valid & answer) != 0) {
-          EXPECT_TRUE(HasBlock(fp->pos, w))
-              << label << " entry " << e.id << " misses pos block " << w;
-        }
-        if ((valid & ~answer) != 0) {
-          EXPECT_TRUE(HasBlock(fp->neg, w))
-              << label << " entry " << e.id << " misses neg block " << w;
-        }
-      }
     });
     EXPECT_EQ(shard.approx_entry_bytes(), entry_bytes)
         << label << " shard " << s << " entry byte gauge drifted";
